@@ -46,15 +46,34 @@ def _effective_batch(pa_x: np.ndarray, wg_y: np.ndarray, height: float,
     pa_x: (..., N, M) antenna x coordinates; receivers: (K, 3).
     Returns (..., K, N) where entry n is sum_m conj(h_nm) * g_m, so the received
     amplitude is the plain dot product with the weight vector.
+
+    Each step works in place on one distance and one phasor array but keeps
+    the operations and their order of sqrt(eta/M) * sum_m exp(j phase) / dist,
+    so the result is bit-identical to that broadcast formula.
     """
     px = pa_x[..., None, :, :]  # (..., 1, N, M)
-    dx = receivers[:, 0][:, None, None] - px
+    dist = receivers[:, 0][:, None, None] - px  # (..., K, N, M)
+    dist *= dist
     dy = receivers[:, 1][:, None, None] - wg_y[None, :, None]
+    dist += dy * dy
     dz = receivers[:, 2][:, None, None] - height
-    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+    dist += dz * dz
+    np.sqrt(dist, out=dist)
+    phasor = np.zeros(dist.shape, dtype=complex)
+    phase = phasor.imag
+    np.multiply(pc.k_c, dist, out=phase)
+    phase -= pc.k_g * px
+    np.exp(phasor, out=phasor)
+    phasor /= dist
     m = pa_x.shape[-1]
-    phase = pc.k_c * dist - pc.k_g * px
-    return np.sqrt(pc.eta / m) * np.sum(np.exp(1j * phase) / dist, axis=-1)
+    if m > 3:
+        out = np.sum(phasor, axis=-1)
+    else:  # np.sum adds up to three terms left to right; slice adds match it, faster
+        out = phasor[..., 0] if m == 1 else phasor[..., 0] + phasor[..., 1]
+        if m == 3:
+            out += phasor[..., 2]
+    out *= np.sqrt(pc.eta / m)
+    return out
 
 
 def effective_channel_at(layout: PinchLayout, receivers, pc: PhysConstants) -> np.ndarray:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,7 +162,11 @@ _INT_KEYS = {"num_waveguides", "pas_per_waveguide", "willie_samples_k", "pso_pop
 
 
 def config_from_dict(values: dict) -> ExperimentConfig:
-    """Build a config from a flat key-value mapping; unknown keys are an error."""
+    """Build a config from a flat key-value mapping.
+
+    Unknown keys, booleans, values that are not finite numbers and fractional
+    values of integer keys are an error.
+    """
     unknown = sorted(set(values) - set(_FIELD_TYPES))
     if unknown:
         valid = ", ".join(sorted(_FIELD_TYPES))
@@ -170,10 +175,19 @@ def config_from_dict(values: dict) -> ExperimentConfig:
     for key, raw in values.items():
         if raw is None:
             coerced[key] = None
-        elif key in _INT_KEYS:
+            continue
+        try:
+            number = float(raw)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        if isinstance(raw, bool) or not math.isfinite(number):
+            raise ValueError(f"config key {key!r} must be a finite number, got {raw!r}")
+        if key not in _INT_KEYS:
+            coerced[key] = number
+        elif number.is_integer():
             coerced[key] = int(raw)
         else:
-            coerced[key] = float(raw)
+            raise ValueError(f"config key {key!r} must be a whole number, got {raw!r}")
     return ExperimentConfig(**coerced)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,6 +106,9 @@ def run_sweep(config: ExperimentConfig, variable: str, values,
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"unknown sweep variable {variable!r}; valid variables: "
                          + ", ".join(SWEEP_VARIABLES))
+    values = [float(v) for v in values]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"sweep values must be finite numbers, got {values}")
     schemes = tuple(schemes)
     for s in schemes:
         if s not in SCHEMES:
@@ -114,10 +118,10 @@ def run_sweep(config: ExperimentConfig, variable: str, values,
     for value in values:
         for scheme in schemes:
             for trial, base in enumerate(scenarios):
-                sc = _apply_sweep_value(base, variable, float(value))
+                sc = _apply_sweep_value(base, variable, value)
                 seed = trial_seed(config.seed, trial)
                 rate, power = solve_scheme(scheme, sc, config, seed)
-                records.append(SweepRecord(scheme, variable, float(value), trial,
+                records.append(SweepRecord(scheme, variable, value, trial,
                                            rate, power, seed))
     return records
 

@@ -100,11 +100,13 @@ def _context(sc: Scenario, k: int) -> _EvalContext:
 
 def _rates_from_gains(bob_gain: np.ndarray, willie_max: np.ndarray,
                       ctx: _EvalContext) -> np.ndarray:
-    gamma_b = bob_gain / ctx.sigma_b_sq
-    with np.errstate(divide="ignore"):
-        p_budget = np.where(willie_max > 0.0, ctx.gamma_w / willie_max, np.inf)
-    power = np.minimum(p_budget, ctx.p_max)
-    return np.log2(1.0 + power * gamma_b)
+    power = np.divide(ctx.gamma_w, willie_max, out=np.full(willie_max.shape, np.inf),
+                      where=willie_max > 0.0)
+    np.minimum(power, ctx.p_max, out=power)
+    rate = bob_gain / ctx.sigma_b_sq
+    rate *= power
+    rate += 1.0
+    return np.log2(rate, out=rate)
 
 
 def _eval_layouts(ps_pos: np.ndarray, w: np.ndarray, ctx: _EvalContext) -> np.ndarray:
@@ -115,10 +117,14 @@ def _eval_layouts(ps_pos: np.ndarray, w: np.ndarray, ctx: _EvalContext) -> np.nd
     return _rates_from_gains(gains[:, 0], gains[:, 1:].max(axis=1), ctx)
 
 
-def _eval_weights(x_norm: np.ndarray, bs_pos: np.ndarray, ctx: _EvalContext) -> np.ndarray:
-    """Fitness of a batch of unit weight vectors under a fixed layout."""
+def _layout_channel(x_norm: np.ndarray, ctx: _EvalContext) -> np.ndarray:
+    """Effective channels (1 + S, N) of one normalized layout."""
     pa_x = x_norm[None, :, None] * ctx.usable_len + ctx.pa_offsets[None, None, :]
-    eff = _effective_batch(pa_x, ctx.wg_y, ctx.height, ctx.receivers, ctx.pc)[0]
+    return _effective_batch(pa_x, ctx.wg_y, ctx.height, ctx.receivers, ctx.pc)[0]
+
+
+def _eval_weights(eff: np.ndarray, bs_pos: np.ndarray, ctx: _EvalContext) -> np.ndarray:
+    """Fitness of a batch of unit weight vectors under a fixed layout's channels."""
     gains = np.abs(bs_pos @ eff.T) ** 2  # (I, 1 + S)
     return _rates_from_gains(gains[:, 0], gains[:, 1:].max(axis=1), ctx)
 
@@ -152,6 +158,9 @@ class TwinSwarms:
     bs_glo_pos: np.ndarray
     bs_glo_score: float
     rng: np.random.Generator
+    # channels of the layout ps_glo_pos for the beamforming half; None until
+    # the first step and again whenever ps_glo_pos moves
+    bs_channel: np.ndarray | None = None
 
 
 def _random_unit_rows(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
@@ -165,15 +174,33 @@ def _random_unit_rows(rng: np.random.Generator, rows: int, n: int) -> np.ndarray
     return raw / norms
 
 
-def _renormalize_rows(pos: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Unit-normalize each particle; a zero particle is re-randomized."""
+def _renormalize_rows(pos: np.ndarray, rng: np.random.Generator) -> None:
+    """Unit-normalize each particle in place; a zero particle is re-randomized."""
     norms = np.linalg.norm(pos, axis=1, keepdims=True)
     zero = norms[:, 0] == 0.0
     if np.any(zero):
-        pos = pos.copy()
         pos[zero] = _random_unit_rows(rng, int(zero.sum()), pos.shape[1])
         norms = np.linalg.norm(pos, axis=1, keepdims=True)
-    return pos / norms
+    pos /= norms
+
+
+def _clip(x: np.ndarray, lo: float, hi: float) -> None:
+    """Clamp an array (or a view of one) to [lo, hi] in place."""
+    np.maximum(x, lo, out=x)
+    np.minimum(x, hi, out=x)
+
+
+def _update_velocity(vel, pos, best_pos, glo_pos, theta1, theta2,
+                     inertia, cognitive, social) -> None:
+    """PSO velocity update in place, in the float order of
+    inertia * vel + cognitive * theta1 * (best - pos) + social * theta2 * (glo - pos)."""
+    vel *= inertia
+    term = best_pos - pos
+    term *= cognitive * theta1
+    vel += term
+    term = glo_pos - pos
+    term *= social * theta2
+    vel += term
 
 
 def init_swarms(n_wg: int, params: PsoParams, rng: np.random.Generator) -> TwinSwarms:
@@ -204,7 +231,9 @@ def step(swarms: TwinSwarms, sc_or_ctx, params: PsoParams, k: int = 1) -> tuple[
     """One full alternating iteration; returns both swarms' global best scores.
 
     Random factors are drawn per dimension in a fixed order (PS cognitive, PS
-    social, BS cognitive, BS social), so a seeded run is reproducible.
+    social, BS cognitive, BS social), so a seeded run is reproducible. The
+    beamforming half reuses ``swarms.bs_channel`` until ``ps_glo_pos`` moves,
+    so every step on one swarm state must see the same scenario.
     """
     ctx = sc_or_ctx if isinstance(sc_or_ctx, _EvalContext) else _context(sc_or_ctx, k)
     rng = swarms.rng
@@ -219,17 +248,19 @@ def step(swarms: TwinSwarms, sc_or_ctx, params: PsoParams, k: int = 1) -> tuple[
     if swarms.ps_best_score[best] > swarms.ps_glo_score:
         swarms.ps_glo_score = float(swarms.ps_best_score[best])
         swarms.ps_glo_pos = swarms.ps_best_pos[best].copy()
+        swarms.bs_channel = None
     theta1 = rng.random(swarms.ps_pos.shape)
     theta2 = rng.random(swarms.ps_pos.shape)
-    swarms.ps_vel = (params.inertia_ps * swarms.ps_vel
-                     + params.cognitive_ps * theta1 * (swarms.ps_best_pos - swarms.ps_pos)
-                     + params.social_ps * theta2 * (swarms.ps_glo_pos - swarms.ps_pos))
-    np.clip(swarms.ps_vel, -params.v_max, params.v_max, out=swarms.ps_vel)
-    swarms.ps_pos = clamp_ps(swarms.ps_pos + swarms.ps_vel)
+    _update_velocity(swarms.ps_vel, swarms.ps_pos, swarms.ps_best_pos, swarms.ps_glo_pos,
+                     theta1, theta2, params.inertia_ps, params.cognitive_ps, params.social_ps)
+    _clip(swarms.ps_vel, -params.v_max, params.v_max)
+    swarms.ps_pos += swarms.ps_vel
+    _clip(swarms.ps_pos, 0.0, 1.0)
 
     # beamforming half: layout fixed to the PS global best
-    x_norm = swarms.ps_glo_pos
-    scores = _eval_weights(x_norm, swarms.bs_pos, ctx)
+    if swarms.bs_channel is None:
+        swarms.bs_channel = _layout_channel(swarms.ps_glo_pos, ctx)
+    scores = _eval_weights(swarms.bs_channel, swarms.bs_pos, ctx)
     improved = scores > swarms.bs_best_score
     swarms.bs_best_score[improved] = scores[improved]
     swarms.bs_best_pos[improved] = swarms.bs_pos[improved]
@@ -239,13 +270,12 @@ def step(swarms: TwinSwarms, sc_or_ctx, params: PsoParams, k: int = 1) -> tuple[
         swarms.bs_glo_pos = swarms.bs_best_pos[best].copy()
     theta1 = rng.random(swarms.bs_pos.shape)
     theta2 = rng.random(swarms.bs_pos.shape)
-    swarms.bs_vel = (params.inertia_bs * swarms.bs_vel
-                     + params.cognitive_bs * theta1 * (swarms.bs_best_pos - swarms.bs_pos)
-                     + params.social_bs * theta2 * (swarms.bs_glo_pos - swarms.bs_pos))
+    _update_velocity(swarms.bs_vel, swarms.bs_pos, swarms.bs_best_pos, swarms.bs_glo_pos,
+                     theta1, theta2, params.inertia_bs, params.cognitive_bs, params.social_bs)
     # the cap applies to real and imaginary parts independently
-    swarms.bs_vel = (np.clip(swarms.bs_vel.real, -params.v_max, params.v_max)
-                     + 1j * np.clip(swarms.bs_vel.imag, -params.v_max, params.v_max))
-    swarms.bs_pos = _renormalize_rows(swarms.bs_pos + swarms.bs_vel, rng)
+    _clip(swarms.bs_vel.view(float), -params.v_max, params.v_max)
+    swarms.bs_pos += swarms.bs_vel
+    _renormalize_rows(swarms.bs_pos, rng)
 
     return swarms.ps_glo_score, swarms.bs_glo_score
 

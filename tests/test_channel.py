@@ -6,7 +6,7 @@ import pytest
 from passcovert import (BeamVector, PassGeometry, PinchLayout, derive_constants,
                         effective_channel, effective_channel_at, freespace_vector,
                         inwg_phase, inwg_vector, los_coeff, snr_bob)
-from passcovert.channel import beam_pattern_grid
+from passcovert.channel import _effective_batch, beam_pattern_grid
 
 
 def test_derive_constants_28ghz(pc28):
@@ -225,3 +225,31 @@ def test_effective_channel_at_batches_match_single(pc28, rng):
     for k in range(5):
         np.testing.assert_allclose(batch[k], effective_channel(layout, rcv[k], pc28),
                                    rtol=1e-12)
+
+
+def _broadcast_effective_batch(pa_x, wg_y, height, receivers, pc):
+    """The kernel's defining formula, one broadcast expression per step."""
+    px = pa_x[..., None, :, :]
+    dx = receivers[:, 0][:, None, None] - px
+    dy = receivers[:, 1][:, None, None] - wg_y[None, :, None]
+    dz = receivers[:, 2][:, None, None] - height
+    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+    m = pa_x.shape[-1]
+    phase = pc.k_c * dist - pc.k_g * px
+    return np.sqrt(pc.eta / m) * np.sum(np.exp(1j * phase) / dist, axis=-1)
+
+
+@pytest.mark.parametrize("layouts, n, m, k", [
+    ((30,), 4, 3, 6),  # twin-swarm position half
+    ((), 4, 3, 10_000),  # beam-pattern grid
+    ((), 1, 1, 500),  # single waveguide, single antenna
+    ((30,), 4, 5, 6),  # more antennas than the slice-add path covers
+], ids=["swarm", "grid", "single_antenna", "m5"])
+def test_effective_batch_bit_identical_to_broadcast_formula(pc28, rng, layouts, n, m, k):
+    pa_x = rng.uniform(0.0, 25.0, layouts + (n, m))
+    wg_y = np.linspace(-1.5 * (n - 1), 1.5 * (n - 1), n)
+    rcv = np.column_stack([rng.uniform(0, 25, k), rng.uniform(-8, 8, k), np.zeros(k)])
+    got = _effective_batch(pa_x, wg_y, 3.0, rcv, pc28)
+    want = _broadcast_effective_batch(pa_x, wg_y, 3.0, rcv, pc28)
+    assert got.shape == want.shape == layouts + (k, n)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -100,3 +100,25 @@ def test_error_on_unwritable_out(tmp_path, capsys):
     code = main(["swsp", "--config", cfg, "--out", str(tmp_path / "no" / "dir.csv")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, keys, extra", [
+    ("swsp", {"delta_r_m": float("nan")}, []),
+    ("mwmp", {"delta_r_m": float("inf")}, []),
+    ("swsp", {"p_max_dbm": float("inf")}, []),
+    ("mwmp", {"pso_vmax": float("nan")}, []),
+    ("mwmp", {"num_waveguides": True}, []),
+    ("mwmp", {"num_waveguides": 2.5}, []),
+    ("sweep", {}, ["--variable", "uncertainty_radius", "--values", "0.5,nan",
+                   "--schemes", "swsp"]),
+], ids=["delta_r_nan", "delta_r_inf", "p_max_inf", "vmax_nan", "n_wg_bool", "n_wg_fraction",
+     "values_nan"])
+def test_invalid_numeric_inputs_rejected(tmp_path, capsys, command, keys, extra):
+    # each of these once printed a nan row, an unsafe full-power rate or a
+    # silently coerced setting with exit 0
+    code = main([command, "--config", _config_file(tmp_path, **keys)] + extra)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err_lines = [ln for ln in captured.err.splitlines() if ln]
+    assert len(err_lines) == 1 and err_lines[0].startswith("error: ")

@@ -2,14 +2,15 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from passcovert import ExperimentConfig, config_from_dict, load_config
 from passcovert.harness import (SCHEMES, SweepRecord, emit, mean_rates, read_records,
-                                run_convergence, run_sweep, sample_scenarios,
-                                trial_seed)
+                                records_to_csv, run_convergence, run_sweep,
+                                sample_scenarios, trial_seed)
 
 
 def _small_config(**over):
@@ -224,3 +225,19 @@ def test_emitted_rows_revalidate_post_hoc(tmp_path):
             beam = BeamVector(sol.w_tilde, sol.power)
             for pt in samples:
                 assert willie_gain(layout, beam, pt, base.pc) <= gamma_w + 1e-12
+
+
+GOLDEN_SWEEPS = {
+    "target_error_rate": [0.80, 0.85, 0.90, 0.95],
+    "power_budget": [10.0, 15.0, 20.0, 25.0, 30.0],
+    "uncertainty_radius": [0.1, 0.5, 1.0, 1.5, 2.0],
+}
+
+
+@pytest.mark.parametrize("variable", sorted(GOLDEN_SWEEPS))
+def test_sweep_csv_matches_golden(variable):
+    # default config, two trials, all six schemes: the bytes must not move
+    config = dataclasses.replace(ExperimentConfig(), trials=2)
+    records = run_sweep(config, variable, GOLDEN_SWEEPS[variable], SCHEMES)
+    golden = Path(__file__).parent / "data" / f"golden_sweep_{variable}.csv"
+    assert records_to_csv(records).encode("utf-8") == golden.read_bytes()

@@ -180,3 +180,32 @@ def test_sample_cross_feeds_power_control():
     g_max = worst_case_gain(layout, sol.w_tilde, sample_region(sc.willie, 1), sc.pc)
     if sol.power < sc.p_max:
         assert sol.power * g_max == pytest.approx(sc.gain_budget(), rel=1e-10)
+
+
+def test_cached_beamforming_channel_tracks_position_global_best():
+    sc = _scenario(n=3, m=3)
+    params = PsoParams(seed=17)
+    ctx = mwmp._context(sc, 1)
+    swarms = init_swarms(3, params, np.random.default_rng(params.seed))
+    for _ in range(25):
+        step(swarms, ctx, params)
+        pa_x = (swarms.ps_glo_pos[None, :, None] * ctx.usable_len
+                + ctx.pa_offsets[None, None, :])
+        fresh = mwmp._effective_batch(pa_x, ctx.wg_y, ctx.height, ctx.receivers, ctx.pc)[0]
+        np.testing.assert_array_equal(swarms.bs_channel, fresh)
+
+
+def test_solve_recomputes_channel_only_when_layout_best_moves(monkeypatch):
+    calls = []
+    kernel = mwmp._effective_batch
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(mwmp, "_effective_batch", counting)
+    params = PsoParams(iterations=40, seed=4)
+    solve(_scenario(n=4, m=3), params)
+    # one position-half call per step, plus one beamforming-half call on the
+    # first step and after each step that moved the position global best
+    assert params.iterations + 1 <= len(calls) <= 2 * params.iterations - 1
