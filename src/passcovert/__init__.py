@@ -8,15 +8,15 @@ from .channel import (beam_gain, beam_pattern_grid, effective_channel,
                       inwg_vector, los_coeff, snr_bob)
 from .config import ExperimentConfig, config_from_dict, load_config
 from .constants import (PhysConstants, SPEED_OF_LIGHT, db_to_linear, dbm_to_watts,
-                        derive_constants, watts_to_dbm)
+                        derive_constants)
 from .detection import (CovertnessSpec, NoiseUncertainty, WillieUncertainty,
                         covert_gain_budget, noise_pdf, optimal_detection,
                         sample_region, total_error_rate, willie_gain,
                         worst_case_gain)
 from .geometry import BeamVector, PassGeometry, PinchLayout, as_vec3
-from .harness import (SCHEMES, SWEEP_VARIABLES, SweepRecord, emit, mean_rates,
-                      read_records, run_convergence, run_sweep, sample_scenarios)
-from .mwmp import MwmpSolution, PsoParams, clamp_ps, fitness, normalize_bs, optimal_power
+from .harness import (SCHEMES, SWEEP_VARIABLES, SweepRecord, mean_rates, read_records,
+                      run_convergence, run_sweep, sample_scenarios)
+from .mwmp import MwmpSolution, PsoParams
 from .mwmp import solve as solve_mwmp
 from .scenario import Scenario
 from .swsp import (CovertnessInfeasibleError, ForbiddenZone, SwspSolution,

@@ -9,6 +9,7 @@ import numpy as np
 
 from .channel import effective_channel_at
 from .constants import PhysConstants
+from .detection import covert_power_rate
 from .geometry import PinchLayout, as_vec3
 from .scenario import Scenario
 
@@ -22,14 +23,6 @@ class BenchmarkKind(enum.Enum):
     MIMO_MRT = "mimo_mrt"
     PASS_ZF = "pass_zf"
     PASS_MRT = "pass_mrt"
-
-    @classmethod
-    def parse(cls, name: str) -> "BenchmarkKind":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            valid = ", ".join(k.value for k in cls)
-            raise ValueError(f"unknown benchmark {name!r}; valid kinds: {valid}") from None
 
 
 def ula_positions(n: int, height: float, pc: PhysConstants) -> np.ndarray:
@@ -122,8 +115,6 @@ def evaluate(kind: BenchmarkKind, sc: Scenario, k: int = 1) -> BenchmarkResult:
         return BenchmarkResult(kind, 0.0, 0.0, None)
 
     g_max = float(np.max(np.abs(sample_ch @ w) ** 2))
-    gamma_w = sc.gain_budget()
-    power = sc.p_max if g_max == 0.0 else min(gamma_w / g_max, sc.p_max)
-    gamma_unit = float(np.abs(h_b @ w) ** 2) / sc.sigma_b_sq
-    rate = float(np.log2(1.0 + power * gamma_unit))
-    return BenchmarkResult(kind, rate, power, w)
+    g_bob = float(np.abs(h_b @ w) ** 2)
+    power, rate = covert_power_rate(g_bob, g_max, sc.gain_budget(), sc.p_max, sc.sigma_b_sq)
+    return BenchmarkResult(kind, float(rate), float(power), w)

@@ -31,7 +31,6 @@ class ExperimentConfig:
     num_waveguides: int = 4
     pas_per_waveguide: int = 3
     pa_spacing_m: float | None = None  # default: half a carrier wavelength
-    pa_min_spacing_m: float | None = None  # default: pa_spacing_m
     wg_spacing_m: float = 3.0
     # power and noise
     p_max_dbm: float = 30.0
@@ -104,12 +103,10 @@ class ExperimentConfig:
     # ---- builders ----
 
     def geometry_mwmp(self) -> PassGeometry:
-        spacing = self.pa_spacing()
-        min_spacing = self.pa_min_spacing_m if self.pa_min_spacing_m is not None else spacing
         n = self.num_waveguides
         wg_y = tuple((i + 1 - (n + 1) / 2.0) * self.wg_spacing_m for i in range(n))
         return PassGeometry(self.height_m, self.waveguide_length_m, n,
-                            self.pas_per_waveguide, wg_y, spacing, min_spacing)
+                            self.pas_per_waveguide, wg_y, self.pa_spacing())
 
     def geometry_swsp(self) -> PassGeometry:
         return PassGeometry.single_waveguide(self.height_m, self.waveguide_length_m,

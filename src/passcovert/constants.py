@@ -39,11 +39,5 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) * 1e-3
 
 
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0.0:
-        raise ValueError("cannot express non-positive power in dBm")
-    return 10.0 * math.log10(watts * 1e3)
-
-
 def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)

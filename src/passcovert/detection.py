@@ -121,6 +121,18 @@ def covert_gain_budget(spec: CovertnessSpec, nu: NoiseUncertainty) -> float:
     return nu.nominal / nu.delta * (nu.delta ** (2.0 * spec.rho_w) - 1.0)
 
 
+def covert_power_rate(g_bob, g_max, gamma_w: float, p_max: float, sigma_b_sq: float):
+    """Covert power control and the rate it buys, elementwise: (P, rate).
+
+    P = min(gamma_w / g_max, p_max) is the largest power whose sampled warden
+    gain P * g_max stays within the budget (P = p_max where g_max = 0), and
+    rate = log2(g_bob / sigma_b_sq * P + 1). Scalars and arrays give the same bits.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = np.where(g_max == 0.0, p_max, np.minimum(np.divide(gamma_w, g_max), p_max))
+    return power, np.log2(g_bob / sigma_b_sq * power + 1.0)
+
+
 def willie_gain(layout: PinchLayout, beam: BeamVector, r_w, pc: PhysConstants) -> float:
     """Beam gain |channel(r_w) . w|^2 at a candidate warden position."""
     return float(beam_gain(layout, beam.weights, as_vec3(r_w)[None, :], pc)[0])

@@ -33,7 +33,6 @@ class PassGeometry:
     m_pa: int
     wg_y: tuple[float, ...]
     pa_spacing: float  # m
-    min_spacing: float  # m
 
     def __post_init__(self):
         if self.height <= 0.0:
@@ -44,8 +43,10 @@ class PassGeometry:
             raise ValueError("need at least one waveguide and one antenna per waveguide")
         if len(self.wg_y) != self.n_wg:
             raise ValueError(f"expected {self.n_wg} waveguide y-coordinates, got {len(self.wg_y)}")
-        if not (self.min_spacing > 0.0 and self.pa_spacing >= self.min_spacing):
-            raise ValueError("antenna spacing must satisfy pa_spacing >= min_spacing > 0")
+        if len(set(self.wg_y)) != self.n_wg:
+            raise ValueError(f"waveguide y-coordinates must be distinct, got {self.wg_y}")
+        if not self.pa_spacing > 0.0:
+            raise ValueError("antenna spacing must be positive")
         if self.usable_length < 0.0:
             raise ValueError("antennas at the configured spacing do not fit on the waveguide")
 
@@ -61,7 +62,7 @@ class PassGeometry:
     @classmethod
     def single_waveguide(cls, height: float, length: float, spacing: float = 0.1) -> "PassGeometry":
         """One waveguide along the x axis with a single pinch antenna."""
-        return cls(height, length, 1, 1, (0.0,), spacing, spacing)
+        return cls(height, length, 1, 1, (0.0,), spacing)
 
 
 @dataclass(eq=False)
@@ -108,12 +109,3 @@ class BeamVector:
     def weights(self) -> np.ndarray:
         """Full beamformer sqrt(P) * w_tilde."""
         return np.sqrt(self.power) * self.entries
-
-    @classmethod
-    def from_weights(cls, w) -> "BeamVector":
-        """Split an unnormalized weight vector into (unit direction, power)."""
-        w = np.asarray(w, dtype=complex).reshape(-1)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            raise ValueError("cannot normalize a zero beamforming vector")
-        return cls(w / norm, norm**2)

@@ -10,6 +10,7 @@ import numpy as np
 
 from . import benchmarks, mwmp, swsp
 from .config import ExperimentConfig
+from .constants import dbm_to_watts
 from .detection import CovertnessSpec, WillieUncertainty
 from .scenario import Scenario
 
@@ -65,16 +66,12 @@ def sample_scenarios(config: ExperimentConfig, n: int | None = None,
 
 
 def _apply_sweep_value(sc: Scenario, variable: str, value: float) -> Scenario:
+    """The scenario at one sweep value; ``run_sweep`` has validated ``variable``."""
     if variable == "target_error_rate":
         return dataclasses.replace(sc, covertness=CovertnessSpec(1.0 - value))
     if variable == "power_budget":
-        from .constants import dbm_to_watts
-
         return dataclasses.replace(sc, p_max=dbm_to_watts(value))
-    if variable == "uncertainty_radius":
-        return dataclasses.replace(sc, willie=WillieUncertainty(sc.willie.center, value))
-    raise ValueError(f"unknown sweep variable {variable!r}; valid variables: "
-                     + ", ".join(SWEEP_VARIABLES))
+    return dataclasses.replace(sc, willie=WillieUncertainty(sc.willie.center, value))
 
 
 def solve_scheme(scheme: str, sc: Scenario, config: ExperimentConfig,
@@ -164,23 +161,9 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def emit(records, path, fmt: str = "csv") -> None:
-    """Write sweep records; floats carry 17 significant digits so a parse
-    round-trips bit-exactly."""
-    if fmt == "csv":
-        text = records_to_csv(records)
-    elif fmt == "json":
-        text = records_to_json(records)
-    else:
-        raise ValueError(f"unknown output format {fmt!r}; valid formats: csv, json")
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write records to {path}: {exc}") from exc
-
-
 def records_to_csv(records) -> str:
+    """Sweep records as CSV; floats carry 17 significant digits so a parse
+    round-trips bit-exactly."""
     lines = [",".join(CSV_HEADER)]
     for r in records:
         lines.append(",".join([r.scheme, r.sweep_variable, _fmt(r.sweep_value),
@@ -201,7 +184,7 @@ def records_to_json(records) -> str:
 
 
 def read_records(path, fmt: str = "csv") -> list[SweepRecord]:
-    """Parse a file previously produced by :func:`emit`."""
+    """Parse a file of :func:`records_to_csv` or :func:`records_to_json` text."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if fmt == "csv":

@@ -9,13 +9,14 @@ other swarm's global best.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import _effective_batch, beam_gain
 from .constants import PhysConstants
-from .detection import worst_case_gain
+from .detection import covert_power_rate, worst_case_gain
 from .geometry import PinchLayout
 from .scenario import Scenario
 
@@ -39,8 +40,12 @@ class PsoParams:
             raise ValueError("both swarms need at least one particle")
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
-        if self.v_max <= 0.0:
+        if not self.v_max > 0.0:
             raise ValueError("velocity cap must be positive")
+        weights = (self.inertia_bs, self.inertia_ps, self.cognitive_bs, self.social_bs,
+                   self.cognitive_ps, self.social_ps)
+        if not all(math.isfinite(v) for v in weights):
+            raise ValueError("inertia, cognitive and social weights must be finite")
 
 
 @dataclass(eq=False)
@@ -50,29 +55,6 @@ class MwmpSolution:
     power: float  # W
     rate: float  # bits/s/Hz
     trace: np.ndarray  # best fitness after each iteration
-
-
-def clamp_ps(position: np.ndarray) -> np.ndarray:
-    """Componentwise clamp of normalized antenna positions to [0, 1]."""
-    return np.clip(position, 0.0, 1.0)
-
-
-def normalize_bs(position: np.ndarray) -> np.ndarray:
-    """Scale a beamforming particle back onto the unit sphere."""
-    pos = np.asarray(position, dtype=complex)
-    norm = np.linalg.norm(pos)
-    if norm == 0.0:
-        raise ValueError("cannot normalize a zero beamforming particle")
-    return pos / norm
-
-
-def optimal_power(layout: PinchLayout, w_tilde, samples, gamma_w: float,
-                  p_max: float, pc: PhysConstants) -> float:
-    """Transmit power saturating the sampled gain budget, capped at the budget."""
-    g_max = worst_case_gain(layout, w_tilde, samples, pc)
-    if g_max == 0.0:
-        return float(p_max)
-    return float(min(gamma_w / g_max, p_max))
 
 
 @dataclass(eq=False)
@@ -98,23 +80,13 @@ def _context(sc: Scenario, k: int) -> _EvalContext:
                         sc.sigma_b_sq, sc.gain_budget(), sc.p_max, sc.pc)
 
 
-def _rates_from_gains(bob_gain: np.ndarray, willie_max: np.ndarray,
-                      ctx: _EvalContext) -> np.ndarray:
-    power = np.divide(ctx.gamma_w, willie_max, out=np.full(willie_max.shape, np.inf),
-                      where=willie_max > 0.0)
-    np.minimum(power, ctx.p_max, out=power)
-    rate = bob_gain / ctx.sigma_b_sq
-    rate *= power
-    rate += 1.0
-    return np.log2(rate, out=rate)
-
-
 def _eval_layouts(ps_pos: np.ndarray, w: np.ndarray, ctx: _EvalContext) -> np.ndarray:
     """Fitness of a batch of normalized PS positions under a fixed weight vector."""
     pa_x = ps_pos[:, :, None] * ctx.usable_len + ctx.pa_offsets[None, None, :]
     eff = _effective_batch(pa_x, ctx.wg_y, ctx.height, ctx.receivers, ctx.pc)
     gains = np.abs(eff @ w) ** 2  # (J, 1 + S)
-    return _rates_from_gains(gains[:, 0], gains[:, 1:].max(axis=1), ctx)
+    return covert_power_rate(gains[:, 0], gains[:, 1:].max(axis=1), ctx.gamma_w, ctx.p_max,
+                             ctx.sigma_b_sq)[1]
 
 
 def _layout_channel(x_norm: np.ndarray, ctx: _EvalContext) -> np.ndarray:
@@ -126,19 +98,8 @@ def _layout_channel(x_norm: np.ndarray, ctx: _EvalContext) -> np.ndarray:
 def _eval_weights(eff: np.ndarray, bs_pos: np.ndarray, ctx: _EvalContext) -> np.ndarray:
     """Fitness of a batch of unit weight vectors under a fixed layout's channels."""
     gains = np.abs(bs_pos @ eff.T) ** 2  # (I, 1 + S)
-    return _rates_from_gains(gains[:, 0], gains[:, 1:].max(axis=1), ctx)
-
-
-def fitness(p_ps, p_bs, sc: Scenario, k: int = 1) -> float:
-    """Covert rate achieved by one (position, weight) particle pair.
-
-    ``p_ps`` holds normalized [0, 1] coordinates and ``p_bs`` must already be
-    unit-norm; the power follows the sampled gain budget.
-    """
-    ctx = _context(sc, k)
-    pos = np.asarray(p_ps, dtype=float).reshape(1, -1)
-    w = np.asarray(p_bs, dtype=complex).reshape(-1)
-    return float(_eval_layouts(pos, w, ctx)[0])
+    return covert_power_rate(gains[:, 0], gains[:, 1:].max(axis=1), ctx.gamma_w, ctx.p_max,
+                             ctx.sigma_b_sq)[1]
 
 
 @dataclass(eq=False)
@@ -227,15 +188,14 @@ def init_swarms(n_wg: int, params: PsoParams, rng: np.random.Generator) -> TwinS
     )
 
 
-def step(swarms: TwinSwarms, sc_or_ctx, params: PsoParams, k: int = 1) -> tuple[float, float]:
+def step(swarms: TwinSwarms, ctx: _EvalContext, params: PsoParams) -> tuple[float, float]:
     """One full alternating iteration; returns both swarms' global best scores.
 
     Random factors are drawn per dimension in a fixed order (PS cognitive, PS
     social, BS cognitive, BS social), so a seeded run is reproducible. The
     beamforming half reuses ``swarms.bs_channel`` until ``ps_glo_pos`` moves,
-    so every step on one swarm state must see the same scenario.
+    so every step on one swarm state must see the same context.
     """
-    ctx = sc_or_ctx if isinstance(sc_or_ctx, _EvalContext) else _context(sc_or_ctx, k)
     rng = swarms.rng
 
     # position half: weights fixed to the BS global best
@@ -295,8 +255,7 @@ def solve(sc: Scenario, params: PsoParams, k: int = 1) -> MwmpSolution:
     w_tilde = swarms.bs_glo_pos
     x_init = swarms.ps_glo_pos * ctx.usable_len
     layout = PinchLayout(sc.geom, x_init)
-    samples = ctx.receivers[1:]
-    power = optimal_power(layout, w_tilde, samples, ctx.gamma_w, ctx.p_max, sc.pc)
-    gamma_unit = float(beam_gain(layout, w_tilde, sc.r_b[None, :], sc.pc)[0]) / sc.sigma_b_sq
-    rate = float(np.log2(1.0 + power * gamma_unit))
-    return MwmpSolution(w_tilde.copy(), x_init, power, rate, trace)
+    g_max = worst_case_gain(layout, w_tilde, ctx.receivers[1:], sc.pc)
+    g_bob = float(beam_gain(layout, w_tilde, sc.r_b[None, :], sc.pc)[0])
+    power, rate = covert_power_rate(g_bob, g_max, ctx.gamma_w, ctx.p_max, sc.sigma_b_sq)
+    return MwmpSolution(w_tilde.copy(), x_init, float(power), float(rate), trace)

@@ -11,11 +11,11 @@ import pytest
 
 from passcovert import (CovertnessSpec, ExperimentConfig, NoiseUncertainty,
                         PassGeometry, PinchLayout, Scenario, WillieUncertainty,
-                        optimal_detection, optimal_power, total_error_rate)
+                        optimal_detection, total_error_rate)
 from passcovert import benchmarks, harness, mwmp, swsp
 from passcovert.channel import _effective_batch
 from passcovert.cli import main as cli_main
-from passcovert.detection import worst_case_gain
+from passcovert.detection import covert_power_rate, worst_case_gain
 
 DEFAULTS = ExperimentConfig()
 
@@ -201,7 +201,7 @@ def test_criterion_5_power_saturation():
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, 4))
         wg_y = tuple(np.sort(rng.uniform(-6, 6, n)))
-        geom = PassGeometry(3.0, 25.0, n, m, wg_y, 0.0054, 0.0054)
+        geom = PassGeometry(3.0, 25.0, n, m, wg_y, 0.0054)
         layout = PinchLayout(geom, rng.uniform(0, geom.usable_length, n))
         w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         w /= np.linalg.norm(w)
@@ -211,8 +211,8 @@ def test_criterion_5_power_saturation():
                         for dx, dy in ((0, 0), (0.5, 0), (-0.5, 0), (0, 0.5), (0, -0.5))])
         gamma_w = 10.0 ** rng.uniform(-13, -9)
         p_max = 10.0 ** rng.uniform(-2, 0)
-        p = optimal_power(layout, w, pts, gamma_w, p_max, pc)
         g = worst_case_gain(layout, w, pts, pc)
+        p = float(covert_power_rate(0.0, g, gamma_w, p_max, 1.0)[0])
         if gamma_w / g < p_max:
             # gain-limited branch: the budget must be saturated exactly
             if abs(p * g - gamma_w) > 1e-12 * gamma_w:
@@ -232,7 +232,7 @@ def _desk_scenario():
         covertness=CovertnessSpec(0.1),
         sigma_b_sq=DEFAULTS.sigma_b_sq_watts,
         p_max=DEFAULTS.p_max_watts,
-        geom=PassGeometry(3.0, 25.0, 2, 1, (-1.5, 1.5), 0.0054, 0.0054),
+        geom=PassGeometry(3.0, 25.0, 2, 1, (-1.5, 1.5), 0.0054),
         pc=DEFAULTS.phys_constants(),
     )
 
@@ -253,7 +253,8 @@ def _desk_oracle(sc):
     for i in range(0, weights.shape[0], 128):
         amp = np.einsum("krn,wn->krw", eff, weights[i:i + 128])
         gains = np.abs(amp) ** 2
-        rates = mwmp._rates_from_gains(gains[:, 0, :], gains[:, 1:, :].max(axis=1), ctx)
+        rates = covert_power_rate(gains[:, 0, :], gains[:, 1:, :].max(axis=1), ctx.gamma_w,
+                                  ctx.p_max, ctx.sigma_b_sq)[1]
         best = max(best, float(rates.max()))
     return best
 

@@ -102,13 +102,13 @@ def test_zf_degenerate_cases():
 
 
 def test_heuristic_layout(pc28):
-    geom = PassGeometry(3.0, 25.0, 4, 1, (-4.5, -1.5, 1.5, 4.5), 0.0054, 0.0054)
+    geom = PassGeometry(3.0, 25.0, 4, 1, (-4.5, -1.5, 1.5, 4.5), 0.0054)
     layout = heuristic_pass_layout((12.0, 3.0, 0.0), geom)
     np.testing.assert_allclose(layout.x_init, 12.0)
     clamped = heuristic_pass_layout((-5.0, 3.0, 0.0), geom)
     np.testing.assert_allclose(clamped.x_init, 0.0)
     lam_half = pc28.wavelength / 2
-    geom3 = PassGeometry(3.0, 25.0, 2, 3, (-1.5, 1.5), lam_half, lam_half)
+    geom3 = PassGeometry(3.0, 25.0, 2, 3, (-1.5, 1.5), lam_half)
     centered = heuristic_pass_layout((20.0, 3.0, 0.0), geom3)
     np.testing.assert_allclose(centered.x_init, 20.0 - lam_half, rtol=1e-12)
 
@@ -176,9 +176,3 @@ def test_mrt_beats_zf_under_orthogonal_channels():
     w_zf = zf_weights(h_b, h_w)
     w_mrt = mrt_weights(h_b)
     assert abs(h_b @ w_mrt) >= abs(h_b @ w_zf) - 1e-12
-
-
-def test_benchmark_kind_parse():
-    assert BenchmarkKind.parse("MIMO_ZF") is BenchmarkKind.MIMO_ZF
-    with pytest.raises(ValueError, match="valid kinds"):
-        BenchmarkKind.parse("zf")

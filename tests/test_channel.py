@@ -97,7 +97,7 @@ def test_inwg_vector_unit_norm_any_input(pc28, rng):
 
 
 def test_freespace_vector_matches_los(pc28):
-    geom = PassGeometry(3.0, 25.0, 2, 3, (-1.5, 1.5), 0.005, 0.005)
+    geom = PassGeometry(3.0, 25.0, 2, 3, (-1.5, 1.5), 0.005)
     x = np.array([4.0, 4.005, 4.01])
     r = np.array([6.0, 2.0, 0.0])
     vec = freespace_vector(x, -1.5, r, geom, pc28)
@@ -142,7 +142,7 @@ def test_effective_channel_swsp_scalar(pc28):
 def test_effective_channel_dense_oracle(pc28, rng):
     for n, m in [(2, 2), (1, 3), (3, 1), (4, 4)]:
         wg_y = tuple(np.linspace(-3, 3, n)) if n > 1 else (0.0,)
-        geom = PassGeometry(3.0, 25.0, n, m, wg_y, 0.0054, 0.0054)
+        geom = PassGeometry(3.0, 25.0, n, m, wg_y, 0.0054)
         layout = PinchLayout(geom, rng.uniform(0, geom.usable_length, n))
         r = np.array([rng.uniform(0, 25), rng.uniform(-8, 8), 0.0])
         eff = effective_channel(layout, r, pc28)
@@ -151,7 +151,7 @@ def test_effective_channel_dense_oracle(pc28, rng):
 
 
 def test_effective_channel_triangle_bound(pc28, rng):
-    geom = PassGeometry(3.0, 25.0, 2, 3, (-1.5, 1.5), 0.0054, 0.0054)
+    geom = PassGeometry(3.0, 25.0, 2, 3, (-1.5, 1.5), 0.0054)
     layout = PinchLayout(geom, rng.uniform(0, geom.usable_length, 2))
     r = np.array([5.0, 1.0, 0.0])
     eff = effective_channel(layout, r, pc28)
@@ -186,7 +186,7 @@ def test_snr_bob_power_scaling_and_zero(pc28):
 
 
 def test_snr_global_phase_invariance(pc28, rng):
-    geom = PassGeometry(3.0, 25.0, 3, 2, (-3.0, 0.0, 3.0), 0.0054, 0.0054)
+    geom = PassGeometry(3.0, 25.0, 3, 2, (-3.0, 0.0, 3.0), 0.0054)
     layout = PinchLayout(geom, rng.uniform(0, geom.usable_length, 3))
     w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     w /= np.linalg.norm(w)
@@ -218,7 +218,7 @@ def test_beam_pattern_rejects_empty_grid(pc28):
 
 
 def test_effective_channel_at_batches_match_single(pc28, rng):
-    geom = PassGeometry(3.0, 25.0, 2, 2, (-1.5, 1.5), 0.0054, 0.0054)
+    geom = PassGeometry(3.0, 25.0, 2, 2, (-1.5, 1.5), 0.0054)
     layout = PinchLayout(geom, np.array([3.0, 17.0]))
     rcv = np.column_stack([rng.uniform(0, 25, 5), rng.uniform(-8, 8, 5), np.zeros(5)])
     batch = effective_channel_at(layout, rcv, pc28)

@@ -111,8 +111,9 @@ def test_error_on_unwritable_out(tmp_path, capsys):
     ("mwmp", {"num_waveguides": 2.5}, []),
     ("sweep", {}, ["--variable", "uncertainty_radius", "--values", "0.5,nan",
                    "--schemes", "swsp"]),
+    ("mwmp", {"wg_spacing_m": 0}, []),
 ], ids=["delta_r_nan", "delta_r_inf", "p_max_inf", "vmax_nan", "n_wg_bool", "n_wg_fraction",
-     "values_nan"])
+     "values_nan", "wg_stacked"])
 def test_invalid_numeric_inputs_rejected(tmp_path, capsys, command, keys, extra):
     # each of these once printed a nan row, an unsafe full-power rate or a
     # silently coerced setting with exit 0

@@ -9,6 +9,7 @@ from passcovert import (BeamVector, CovertnessSpec, NoiseUncertainty, PassGeomet
                         optimal_detection, sample_region, total_error_rate,
                         willie_gain, worst_case_gain)
 from passcovert.channel import beam_gain
+from passcovert.detection import covert_power_rate
 
 NU = NoiseUncertainty(1e-10, 10**0.2)  # -70 dBm nominal, 2 dB bound
 
@@ -171,6 +172,38 @@ def test_covert_gain_budget_monotone():
     assert np.all(np.diff(budgets) > 0)
 
 
+def test_covert_power_rate_branches():
+    gamma_w, p_max, sigma_sq, g_bob = 6.1e-12, 1.0, 1e-13, 3.7e-11
+    # gain-limited: the sampled warden gain sits exactly on the budget
+    g_max = 2.3e-9
+    p, rate = covert_power_rate(g_bob, g_max, gamma_w, p_max, sigma_sq)
+    assert p < p_max and p * g_max == pytest.approx(gamma_w, rel=1e-15)
+    assert rate == np.log2(g_bob / sigma_sq * p + 1.0)
+    # budget-limited: the cap binds
+    p, rate = covert_power_rate(g_bob, 1e-13, gamma_w, p_max, sigma_sq)
+    assert p == p_max and rate == np.log2(g_bob / sigma_sq * p_max + 1.0)
+    # a beam that leaks nothing to the samples gets the full budget, whatever Gamma_w
+    for budget in (gamma_w, 0.0):
+        assert covert_power_rate(g_bob, 0.0, budget, p_max, sigma_sq)[0] == p_max
+    # no warden gain budget, no covert rate
+    p, rate = covert_power_rate(g_bob, g_max, 0.0, p_max, sigma_sq)
+    assert p == 0.0 and rate == 0.0
+
+
+def test_covert_power_rate_scalar_matches_array(rng):
+    # the swarm calls the rule on arrays, the solve tail and the reference
+    # schemes on scalars: every element must carry the same bits
+    g_bob = 10.0 ** rng.uniform(-14, -8, 400)
+    g_max = 10.0 ** rng.uniform(-14, -8, 400)
+    g_max[::7] = 0.0
+    gamma_w = 6.1e-12
+    powers, rates = covert_power_rate(g_bob, g_max, gamma_w, 1.0, 1e-13)
+    assert np.any(powers < 1.0) and np.any(powers == 1.0)
+    for i in range(g_bob.size):
+        p, rate = covert_power_rate(float(g_bob[i]), float(g_max[i]), gamma_w, 1.0, 1e-13)
+        assert float(p) == powers[i] and float(rate) == rates[i]
+
+
 def test_willie_gain_swsp_identity(pc28, rng):
     geom = PassGeometry.single_waveguide(3.0, 25.0)
     layout = PinchLayout(geom, np.array([9.0]))
@@ -185,7 +218,7 @@ def test_willie_gain_swsp_identity(pc28, rng):
 def test_willie_gain_dense_oracle(pc28):
     from test_channel import _dense_oracle
 
-    geom = PassGeometry(3.0, 25.0, 2, 1, (-1.5, 1.5), 0.0054, 0.0054)
+    geom = PassGeometry(3.0, 25.0, 2, 1, (-1.5, 1.5), 0.0054)
     layout = PinchLayout(geom, np.array([4.0, 21.0]))
     w = np.array([0.6, 0.8j])
     beam = BeamVector(w, 2.0)
@@ -218,7 +251,7 @@ def test_sample_region_properties(rng):
 
 
 def test_worst_case_gain(pc28):
-    geom = PassGeometry(3.0, 25.0, 2, 1, (-1.5, 1.5), 0.0054, 0.0054)
+    geom = PassGeometry(3.0, 25.0, 2, 1, (-1.5, 1.5), 0.0054)
     layout = PinchLayout(geom, np.array([4.0, 21.0]))
     w = np.array([1.0, 1.0j]) / np.sqrt(2)
     wu = WillieUncertainty(np.array([7.0, -9.0, 0.0]), 0.5)
@@ -235,7 +268,7 @@ def test_worst_case_gain(pc28):
 
 def test_worst_case_gain_cross_is_optimistic(pc28):
     # the 4k+1 cross can only under-estimate the dense-disk maximum
-    geom = PassGeometry(3.0, 25.0, 4, 3, (-4.5, -1.5, 1.5, 4.5), 0.0054, 0.0054)
+    geom = PassGeometry(3.0, 25.0, 4, 3, (-4.5, -1.5, 1.5, 4.5), 0.0054)
     layout = PinchLayout(geom, np.array([5.0, 11.0, 16.0, 22.0]))
     rng = np.random.default_rng(7)
     w = rng.standard_normal(4) + 1j * rng.standard_normal(4)

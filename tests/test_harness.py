@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from passcovert import ExperimentConfig, config_from_dict, load_config
-from passcovert.harness import (SCHEMES, SweepRecord, emit, mean_rates, read_records,
-                                records_to_csv, run_convergence, run_sweep,
-                                sample_scenarios, trial_seed)
+from passcovert.harness import (SCHEMES, SweepRecord, mean_rates, read_records,
+                                records_to_csv, records_to_json, run_convergence,
+                                run_sweep, sample_scenarios, trial_seed)
 
 
 def _small_config(**over):
@@ -57,6 +57,18 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ValueError, match="not valid JSON"):
         load_config(path)
+
+
+def test_config_rejects_stacked_waveguides():
+    with pytest.raises(ValueError, match="distinct"):
+        config_from_dict({"wg_spacing_m": 0}).geometry_mwmp()
+    # a negative spacing only mirrors the layout; one waveguide needs no spacing
+    mirrored = config_from_dict({"wg_spacing_m": -3.0}).geometry_mwmp()
+    np.testing.assert_allclose(mirrored.wg_y_array, [4.5, 1.5, -1.5, -4.5])
+    single = config_from_dict({"num_waveguides": 1, "wg_spacing_m": 0}).geometry_mwmp()
+    assert single.wg_y == (0.0,)
+    with pytest.raises(ValueError, match="valid keys"):
+        config_from_dict({"pa_min_spacing_m": 0.005})
 
 
 def test_sample_scenarios_region_and_determinism():
@@ -144,7 +156,7 @@ def test_emit_csv_round_trip(tmp_path):
                            3.3e-3, 42),
                SweepRecord("mwmp", "power_budget", 10.0, 1, np.pi, 1.0, 43)]
     path = tmp_path / "out.csv"
-    emit(records, path, "csv")
+    path.write_text(records_to_csv(records))
     text = path.read_text()
     lines = text.splitlines()
     assert lines[0] == ("scheme,sweep_variable,sweep_value,trial,"
@@ -158,7 +170,7 @@ def test_emit_csv_round_trip(tmp_path):
 
 def test_emit_empty_csv(tmp_path):
     path = tmp_path / "empty.csv"
-    emit([], path, "csv")
+    path.write_text(records_to_csv([]))
     assert path.read_text() == ("scheme,sweep_variable,sweep_value,trial,"
                                 "covert_rate_bps_hz,p_opt_watts,seed\n")
 
@@ -167,7 +179,7 @@ def test_emit_json_round_trip(tmp_path):
     records = [SweepRecord("pass_zf", "uncertainty_radius", 0.5, 3,
                            0.12345678901234567, 2.5e-2, 7)]
     path = tmp_path / "out.json"
-    emit(records, path, "json")
+    path.write_text(records_to_json(records))
     parsed = json.loads(path.read_text())
     assert list(parsed[0].keys()) == ["scheme", "sweep_variable", "sweep_value",
                                       "trial", "covert_rate_bps_hz", "p_opt_watts",
@@ -177,8 +189,10 @@ def test_emit_json_round_trip(tmp_path):
 
 
 def test_emit_bad_format(tmp_path):
+    path = tmp_path / "x.bin"
+    path.write_text(records_to_csv([]))
     with pytest.raises(ValueError, match="valid formats"):
-        emit([], tmp_path / "x.bin", "parquet")
+        read_records(path, "parquet")
 
 
 def test_all_schemes_solvable_on_one_trial():
@@ -202,7 +216,7 @@ def test_emitted_rows_revalidate_post_hoc(tmp_path):
     records = run_sweep(cfg, "uncertainty_radius", [0.5, 1.5],
                         ("swsp", "mwmp", "pass_mrt"))
     path = tmp_path / "rows.csv"
-    emit(records, path, "csv")
+    path.write_text(records_to_csv(records))
     scenarios = sample_scenarios(cfg)
     for row in read_records(path, "csv"):
         base = _apply_sweep_value(scenarios[row.trial], row.sweep_variable,
@@ -234,10 +248,16 @@ GOLDEN_SWEEPS = {
 }
 
 
-@pytest.mark.parametrize("variable", sorted(GOLDEN_SWEEPS))
-def test_sweep_csv_matches_golden(variable):
+GOLDEN_WRITERS = {"csv": records_to_csv, "json": records_to_json}
+
+
+# CSV cases keep the bare variable as their id, so existing selections by id still match
+@pytest.mark.parametrize("variable, fmt", [
+    pytest.param(v, fmt, id=v if fmt == "csv" else f"{v}-{fmt}")
+    for fmt in GOLDEN_WRITERS for v in sorted(GOLDEN_SWEEPS)])
+def test_sweep_csv_matches_golden(variable, fmt):
     # default config, two trials, all six schemes: the bytes must not move
     config = dataclasses.replace(ExperimentConfig(), trials=2)
     records = run_sweep(config, variable, GOLDEN_SWEEPS[variable], SCHEMES)
-    golden = Path(__file__).parent / "data" / f"golden_sweep_{variable}.csv"
-    assert records_to_csv(records).encode("utf-8") == golden.read_bytes()
+    golden = Path(__file__).parent / "data" / f"golden_sweep_{variable}.{fmt}"
+    assert GOLDEN_WRITERS[fmt](records).encode("utf-8") == golden.read_bytes()

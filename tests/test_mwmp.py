@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from passcovert import (BeamVector, CovertnessSpec, ExperimentConfig, NoiseUncertainty,
-                        PassGeometry, PinchLayout, Scenario, WillieUncertainty,
-                        optimal_power, willie_gain)
+                        PassGeometry, PinchLayout, Scenario, WillieUncertainty, willie_gain)
 from passcovert import mwmp
-from passcovert.detection import sample_region, worst_case_gain
-from passcovert.mwmp import (PsoParams, clamp_ps, fitness, init_swarms, normalize_bs,
-                             solve, step)
+from passcovert.detection import covert_power_rate, sample_region, worst_case_gain
+from passcovert.mwmp import PsoParams, init_swarms, solve, step
 from passcovert.swsp import achievable_rate
 
 
@@ -25,24 +23,50 @@ def _scenario(n=2, m=1, bob=(15.0, 4.0), willie=(5.0, -8.0), rho=0.1, length=25.
         covertness=CovertnessSpec(rho),
         sigma_b_sq=cfg.sigma_b_sq_watts,
         p_max=cfg.p_max_watts,
-        geom=PassGeometry(3.0, length, n, m, wg_y, 0.0054, 0.0054),
+        geom=PassGeometry(3.0, length, n, m, wg_y, 0.0054),
         pc=cfg.phys_constants(),
     )
 
 
+def _optimal_power(layout, w_tilde, samples, gamma_w, p_max, pc):
+    """Power the covert power rule assigns to a beam over the warden samples."""
+    g_max = worst_case_gain(layout, w_tilde, samples, pc)
+    return float(covert_power_rate(0.0, g_max, gamma_w, p_max, 1.0)[0])
+
+
+def _fitness(pos, w, sc):
+    """Swarm fitness of one (normalized position, unit weight) pair at k = 1."""
+    return float(mwmp._eval_layouts(pos[None], w, mwmp._context(sc, 1))[0])
+
+
 def test_clamp_ps():
-    np.testing.assert_allclose(clamp_ps(np.array([1.7, -0.2, 0.4])),
-                               np.array([1.0, 0.0, 0.4]))
+    x = np.array([1.7, -0.2, 0.4])
+    mwmp._clip(x, 0.0, 1.0)
+    np.testing.assert_allclose(x, np.array([1.0, 0.0, 0.4]))
 
 
-def test_normalize_bs():
+def test_normalize_bs(rng):
+    def normalized(v):
+        rows = np.array(v, dtype=complex).reshape(1, -1)
+        mwmp._renormalize_rows(rows, rng)
+        return rows[0]
+
     v = np.array([3.0 + 4.0j, 0.0])
-    out = normalize_bs(v)
+    out = normalized(v)
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
-    np.testing.assert_allclose(normalize_bs(out), out)
-    np.testing.assert_allclose(normalize_bs(2.0 * v), out)
-    with pytest.raises(ValueError):
-        normalize_bs(np.zeros(2, dtype=complex))
+    np.testing.assert_allclose(normalized(out), out)
+    np.testing.assert_allclose(normalized(2.0 * v), out)
+    # a zero particle is re-randomized onto the unit sphere instead of rejected
+    assert np.linalg.norm(normalized(np.zeros(2))) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_pso_params_reject_non_finite():
+    with pytest.raises(ValueError, match="velocity cap"):
+        PsoParams(v_max=float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        PsoParams(inertia_ps=float("inf"))
+    with pytest.raises(ValueError, match="finite"):
+        PsoParams(social_bs=float("nan"))
 
 
 def test_optimal_power_branches(pc28):
@@ -50,11 +74,11 @@ def test_optimal_power_branches(pc28):
     layout = PinchLayout(sc.geom, np.array([5.0, 15.0]))
     w = np.array([1.0, 1.0]) / np.sqrt(2)
     samples = sc.willie_samples(1)
-    assert optimal_power(layout, w, samples, 0.0, sc.p_max, pc28) == 0.0
+    assert _optimal_power(layout, w, samples, 0.0, sc.p_max, pc28) == 0.0
     # huge budget clamps at p_max
-    assert optimal_power(layout, w, samples, 1.0, sc.p_max, pc28) == sc.p_max
+    assert _optimal_power(layout, w, samples, 1.0, sc.p_max, pc28) == sc.p_max
     gamma_w = sc.gain_budget()
-    p = optimal_power(layout, w, samples, gamma_w, sc.p_max, pc28)
+    p = _optimal_power(layout, w, samples, gamma_w, sc.p_max, pc28)
     g = worst_case_gain(layout, w, samples, pc28)
     assert p * g == pytest.approx(gamma_w, rel=1e-12)
 
@@ -67,7 +91,7 @@ def test_optimal_power_saturates_budget(pc28, rng):
         layout = PinchLayout(sc.geom, rng.uniform(0, sc.geom.usable_length, 2))
         w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         w /= np.linalg.norm(w)
-        p = optimal_power(layout, w, samples, gamma_w, sc.p_max, pc28)
+        p = _optimal_power(layout, w, samples, gamma_w, sc.p_max, pc28)
         g = worst_case_gain(layout, w, samples, pc28)
         assert p * g <= gamma_w + 1e-15
         if p < sc.p_max:
@@ -77,7 +101,7 @@ def test_optimal_power_saturates_budget(pc28, rng):
 def test_fitness_zero_budget():
     sc = _scenario(rho=0.0)
     w = np.array([1.0, 0.0], dtype=complex)
-    assert fitness(np.array([0.3, 0.7]), w, sc) == 0.0
+    assert _fitness(np.array([0.3, 0.7]), w, sc) == 0.0
 
 
 def test_fitness_phase_invariance(rng):
@@ -85,9 +109,9 @@ def test_fitness_phase_invariance(rng):
     pos = rng.random(2)
     w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     w /= np.linalg.norm(w)
-    base = fitness(pos, w, sc)
+    base = _fitness(pos, w, sc)
     for phi in (0.4, 2.0):
-        assert fitness(pos, w * np.exp(1j * phi), sc) == pytest.approx(base, rel=1e-12)
+        assert _fitness(pos, w * np.exp(1j * phi), sc) == pytest.approx(base, rel=1e-12)
 
 
 def test_fitness_degenerate_matches_swsp():
@@ -97,10 +121,10 @@ def test_fitness_degenerate_matches_swsp():
         x = frac * sc.geom.usable_length
         layout = PinchLayout(sc.geom, np.array([x]))
         w = np.ones(1, dtype=complex)
-        p = optimal_power(layout, w, sc.willie_samples(1), sc.gain_budget(),
-                          sc.p_max, sc.pc)
+        p = _optimal_power(layout, w, sc.willie_samples(1), sc.gain_budget(),
+                           sc.p_max, sc.pc)
         expected = achievable_rate(x, p, sc)
-        assert fitness(np.array([frac]), w, sc) == pytest.approx(expected, rel=1e-12)
+        assert _fitness(np.array([frac]), w, sc) == pytest.approx(expected, rel=1e-12)
 
 
 def test_step_stationary_when_converged():
@@ -115,7 +139,7 @@ def test_step_stationary_when_converged():
     swarms.bs_best_pos[:] = swarms.bs_glo_pos
     before_ps = swarms.ps_pos.copy()
     before_bs = swarms.bs_pos.copy()
-    step(swarms, sc, params)
+    step(swarms, mwmp._context(sc, 1), params)
     # both attraction terms vanish, so nothing moves
     np.testing.assert_allclose(swarms.ps_pos, before_ps, atol=1e-15)
     np.testing.assert_allclose(swarms.bs_pos, before_bs, atol=1e-12)
@@ -126,8 +150,9 @@ def test_step_preserves_constraints_and_caps():
     params = PsoParams(seed=11)
     rng = np.random.default_rng(params.seed)
     swarms = init_swarms(3, params, rng)
+    ctx = mwmp._context(sc, 1)
     for _ in range(25):
-        step(swarms, sc, params)
+        step(swarms, ctx, params)
         assert np.all(swarms.ps_pos >= 0.0) and np.all(swarms.ps_pos <= 1.0)
         np.testing.assert_allclose(np.linalg.norm(swarms.bs_pos, axis=1), 1.0,
                                    atol=1e-12)
