@@ -139,6 +139,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # e.g. a convergence trace over a power grid too fine to hold in memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

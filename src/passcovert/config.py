@@ -66,6 +66,10 @@ class ExperimentConfig:
     pattern_y_halfwidth_m: float = 12.0
     seed: int = 20250801
 
+    def __post_init__(self):
+        if self.willie_samples_k < 1:
+            raise ValueError("willie_samples_k must be at least 1 (one sampling ring)")
+
     # ---- derived linear quantities ----
 
     @property

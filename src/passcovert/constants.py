@@ -23,15 +23,21 @@ class PhysConstants:
 
 def derive_constants(carrier_freq: float, n_eff: float = 1.4) -> PhysConstants:
     """Build :class:`PhysConstants` from carrier frequency and refractive index."""
-    if carrier_freq <= 0.0:
-        raise ValueError(f"carrier frequency must be positive, got {carrier_freq}")
-    if n_eff < 1.0:
-        raise ValueError(f"effective refractive index must be >= 1, got {n_eff}")
+    if not (math.isfinite(carrier_freq) and carrier_freq > 0.0):
+        raise ValueError(f"carrier frequency must be a finite positive number, got {carrier_freq}")
+    if not (math.isfinite(n_eff) and n_eff >= 1.0):
+        raise ValueError(f"effective refractive index must be a finite number >= 1, got {n_eff}")
     wavelength = SPEED_OF_LIGHT / carrier_freq
     guided_wavelength = wavelength / n_eff
     k_c = 2.0 * math.pi / wavelength
     k_g = 2.0 * math.pi / guided_wavelength
-    eta = wavelength**2 / (16.0 * math.pi**2)
+    try:
+        eta = wavelength**2 / (16.0 * math.pi**2)
+    except OverflowError:
+        eta = math.inf
+    if not all(0.0 < v < math.inf for v in (wavelength, guided_wavelength, k_c, k_g, eta)):
+        raise ValueError(f"carrier frequency {carrier_freq} Hz and index {n_eff} give "
+                         f"constants that are zero or overflow")
     return PhysConstants(carrier_freq, n_eff, wavelength, guided_wavelength, k_c, k_g, eta)
 
 

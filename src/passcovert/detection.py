@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,10 @@ class NoiseUncertainty:
     delta: float  # dimensionless, > 1
 
     def __post_init__(self):
-        if self.nominal <= 0.0:
-            raise ValueError("nominal noise power must be positive")
-        if self.delta <= 1.0:
-            raise ValueError("uncertainty bound must exceed 1")
+        if not (math.isfinite(self.nominal) and self.nominal > 0.0):
+            raise ValueError("nominal noise power must be a finite positive number")
+        if not (math.isfinite(self.delta) and self.delta > 1.0):
+            raise ValueError("uncertainty bound must be a finite number above 1")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -43,8 +44,8 @@ class WillieUncertainty:
         c = as_vec3(self.center)
         if c[2] != 0.0:
             raise ValueError("warden positions live on the ground plane (z = 0)")
-        if self.radius < 0.0:
-            raise ValueError("uncertainty radius must be non-negative")
+        if not (math.isfinite(self.radius) and self.radius >= 0.0):
+            raise ValueError("uncertainty radius must be a finite non-negative number")
         self.center = c
 
 

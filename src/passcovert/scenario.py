@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +28,10 @@ class Scenario:
 
     def __post_init__(self):
         self.r_b = as_vec3(self.r_b)
-        if self.sigma_b_sq <= 0.0:
-            raise ValueError("noise power at Bob must be positive")
-        if self.p_max < 0.0:
-            raise ValueError("power budget must be non-negative")
+        if not (math.isfinite(self.sigma_b_sq) and self.sigma_b_sq > 0.0):
+            raise ValueError("noise power at Bob must be a finite positive number")
+        if not (math.isfinite(self.p_max) and self.p_max >= 0.0):
+            raise ValueError("power budget must be a finite non-negative number")
 
     def gain_budget(self) -> float:
         return covert_gain_budget(self.covertness, self.noise_w)

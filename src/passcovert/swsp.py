@@ -50,7 +50,8 @@ def _zone_bounds(powers: np.ndarray, sc: Scenario):
         return zeros.astype(bool), zeros, zeros, zeros, np.full_like(powers, sc.willie.radius)
     nu = sc.noise_w
     denom = nu.nominal * (nu.delta ** (2.0 * rho) - 1.0)
-    d_bou = np.sqrt(powers * sc.pc.eta * nu.delta / denom)
+    with np.errstate(divide="ignore"):  # a tiny rho_w rounds denom to 0: the zone is endless
+        d_bou = np.sqrt(powers * sc.pc.eta * nu.delta / denom)
     h = sc.geom.height
     proj = np.sqrt(np.maximum(d_bou**2 - h**2, 0.0))
     d_tot = proj + sc.willie.radius
@@ -123,16 +124,44 @@ class SwspSolution:
     feasible: bool
 
 
+_FAN = 32  # cut points per interval and level of the branch-and-bound search
+_CHUNK = 4096  # live intervals cut per vectorised evaluation, to bound memory
+_ULP_SLACK = 8  # ulps of the best rate that cover log2 being only faithfully rounded
+
+
+def _grid_size(sc: Scenario, delta_p: float) -> int:
+    """Number n of grid powers delta_p * (1, ..., n) within the budget, or 0
+    when rho_w = 0 admits no positive power."""
+    if not (math.isfinite(delta_p) and delta_p > 0.0):
+        raise ValueError(f"power search resolution must be a finite positive number, "
+                         f"got {delta_p!r}")
+    steps = sc.p_max / delta_p + 1e-9
+    if not steps < 2.0**63:
+        raise ValueError(f"power search resolution {delta_p!r} W gives more grid "
+                         f"steps than fit in int64")
+    if sc.covertness.rho_w <= 0.0:
+        return 0
+    return int(math.floor(steps))
+
+
+def _positions_at(idx: np.ndarray, sc: Scenario, delta_p: float):
+    """Grid powers and closed-form positions at the 1-based grid indices ``idx``."""
+    powers = delta_p * idx.astype(float)
+    return powers, _positions_for(powers, sc)
+
+
+def _rates(powers, xs, sc: Scenario):
+    d_sq = (sc.r_b[0] - xs) ** 2 + sc.r_b[1] ** 2 + sc.geom.height**2
+    return np.log2(1.0 + powers * sc.pc.eta / (d_sq * sc.sigma_b_sq))
+
+
 def _search(sc: Scenario, delta_p: float):
     """Power grid, rates and positions visited by the 1-D search (after the
     early stop at the first infeasible power)."""
-    if delta_p <= 0.0:
-        raise ValueError("power search resolution must be positive")
-    n = int(math.floor(sc.p_max / delta_p + 1e-9))
-    if sc.covertness.rho_w <= 0.0 or n == 0:
+    n = _grid_size(sc, delta_p)
+    if n == 0:
         return np.empty(0), np.empty(0), np.empty(0)
-    powers = delta_p * np.arange(1, n + 1)
-    xs = _positions_for(powers, sc)
+    powers, xs = _positions_at(np.arange(1, n + 1), sc, delta_p)
     feasible = ~np.isnan(xs)
     if not feasible.all():
         # the zone grows monotonically with power, so stop at the first gap
@@ -140,19 +169,77 @@ def _search(sc: Scenario, delta_p: float):
         powers, xs = powers[:stop], xs[:stop]
     if powers.size == 0:
         return np.empty(0), np.empty(0), np.empty(0)
-    d_sq = (sc.r_b[0] - xs) ** 2 + sc.r_b[1] ** 2 + sc.geom.height**2
-    rates = np.log2(1.0 + powers * sc.pc.eta / (d_sq * sc.sigma_b_sq))
-    return powers, xs, rates
+    return powers, xs, _rates(powers, xs, sc)
+
+
+def _cuts(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Up to _FAN - 1 evenly spaced indices in [lo, hi) per row, without
+    overflowing int64; entries equal to ``lo`` mark narrow intervals."""
+    width = hi - lo
+    k = np.arange(1, _FAN)
+    return (lo[:, None] + (width // _FAN)[:, None] * k
+            + ((width % _FAN)[:, None] * k) // _FAN)
+
+
+def _better(best, idx, powers, xs, rates):
+    """(rate, index, power, x) of the best grid point: the highest rate, then
+    the largest power on ties, as the scan's update rule keeps the latest.
+    Infeasible powers carry a NaN rate and never win."""
+    top = np.fmax.reduce(rates)
+    if not top >= best[0]:
+        return best
+    ties = np.flatnonzero(rates == top)
+    j = ties[np.argmax(idx[ties])]
+    if top > best[0] or idx[j] > best[1]:
+        return top, idx[j], powers[j], xs[j]
+    return best
 
 
 def solve(sc: Scenario, delta_p: float) -> SwspSolution:
-    """1-D linear power search with the closed-form position at each step."""
-    powers, xs, rates = _search(sc, delta_p)
-    if powers.size == 0:
+    """Best point of the 1-D power grid delta_p * (1, 2, ..., n), with the
+    closed-form position at each power and the largest power on ties.
+
+    Returns the full scan's answer bit for bit without building the grid. The
+    forbidden zone only grows with power, in floating point too, so infeasible
+    powers form a suffix and the position closest to Bob only moves away from
+    it: on a grid interval [a, b] with x_a feasible no rate exceeds
+    rate(P_b, x_a). A fan-out branch-and-bound drops every interval whose
+    bound falls below the best rate seen, or whose left end is infeasible.
+    """
+    n = _grid_size(sc, delta_p)
+    if n == 0:
         return SwspSolution(0.0, None, 0.0, False)
-    # the update rule keeps the latest maximizer, i.e. the largest power on ties
-    best = int(np.flatnonzero(rates == rates.max())[-1])
-    return SwspSolution(float(powers[best]), float(xs[best]), float(rates[best]), True)
+    idx = np.array([1, n] if n > 1 else [1])
+    powers, xs = _positions_at(idx, sc, delta_p)
+    best = _better((-np.inf, 0), idx, powers, xs, _rates(powers, xs, sc))
+    # live intervals as (lo, hi, x at lo, bound) rows
+    stack = [(idx[:1], idx[-1:], xs[:1], _rates(powers[-1:], xs[:1], sc))] if n > 2 else []
+    while stack:
+        live = stack.pop()
+        if live[0].size > _CHUNK:
+            stack.append(tuple(a[:-_CHUNK] for a in live))
+            live = tuple(a[-_CHUNK:] for a in live)
+        floor = best[0] - _ULP_SLACK * np.spacing(best[0])
+        lo, hi, lo_x = (a[live[3] >= floor] for a in live[:3])
+        if not lo.size:
+            continue
+        cuts = _cuts(lo, hi)
+        inner = cuts > lo[:, None]
+        idx = cuts[inner]  # narrow intervals repeat cut points, which is harmless
+        powers, xs = _positions_at(idx, sc, delta_p)
+        best = _better(best, idx, powers, xs, _rates(powers, xs, sc))
+        # sub-intervals [left, right] between consecutive nodes lo, cuts..., hi
+        left = np.concatenate([lo[:, None], cuts], axis=1)
+        right = np.concatenate([cuts, hi[:, None]], axis=1)
+        left_x = np.repeat(lo_x[:, None], _FAN, axis=1)
+        left_x[:, 1:][inner] = xs
+        bound = _rates(delta_p * right.astype(float), left_x, sc)  # NaN: left infeasible
+        floor = best[0] - _ULP_SLACK * np.spacing(best[0])
+        keep = (right - left > 1) & (bound >= floor)
+        stack.append(tuple(a[keep] for a in (left, right, left_x, bound)))
+    if best[0] == -np.inf:
+        return SwspSolution(0.0, None, 0.0, False)
+    return SwspSolution(float(best[2]), float(best[3]), float(best[0]), True)
 
 
 def rate_trace(sc: Scenario, delta_p: float) -> np.ndarray:

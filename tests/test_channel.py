@@ -33,6 +33,14 @@ def test_derive_constants_rejects_bad_args():
         derive_constants(0.0)
     with pytest.raises(ValueError):
         derive_constants(1e9, 0.5)
+    # non-finite inputs, and a 5.9e-150 Hz carrier whose eta overflows (it once
+    # raised an uncaught OverflowError in the CLI) or a 1e308 Hz one whose
+    # wavelength underflows
+    nan, inf = float("nan"), float("inf")
+    for freq, n_eff in [(nan, 1.4), (inf, 1.4), (1e9, nan), (1e9, inf), (5.9e-150, 1.4),
+                        (1e308, 1.4)]:
+        with pytest.raises(ValueError):
+            derive_constants(freq, n_eff)
 
 
 def test_los_coeff_height_only(pc28):

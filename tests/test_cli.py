@@ -112,14 +112,33 @@ def test_error_on_unwritable_out(tmp_path, capsys):
     ("sweep", {}, ["--variable", "uncertainty_radius", "--values", "0.5,nan",
                    "--schemes", "swsp"]),
     ("mwmp", {"wg_spacing_m": 0}, []),
+    ("swsp", {"delta_p_watts": -1e-5}, []),
+    ("swsp", {"delta_p_watts": 1e-300}, []),
+    ("swsp", {"willie_samples_k": 0}, []),
+    ("swsp", {"carrier_freq_hz": 5.9e-150}, []),
+    # the trace needs every grid step, and 1e16 of them fit in no address space
+    ("converge", {"converge_delta_p_watts": 1e-16}, ["--case", "swsp"]),
 ], ids=["delta_r_nan", "delta_r_inf", "p_max_inf", "vmax_nan", "n_wg_bool", "n_wg_fraction",
-     "values_nan", "wg_stacked"])
+     "values_nan", "wg_stacked", "delta_p_negative", "delta_p_steps_overflow", "samples_k_zero",
+     "carrier_underflow", "converge_grid_out_of_memory"])
 def test_invalid_numeric_inputs_rejected(tmp_path, capsys, command, keys, extra):
     # each of these once printed a nan row, an unsafe full-power rate or a
-    # silently coerced setting with exit 0
+    # silently coerced setting with exit 0, or died with a traceback
     code = main([command, "--config", _config_file(tmp_path, **keys)] + extra)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     err_lines = [ln for ln in captured.err.splitlines() if ln]
     assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+
+
+def test_swsp_fine_resolution_solves(tmp_path, capsys):
+    # 1e13 grid powers: the search never builds the grid, so this once-fatal
+    # allocation is gone and the answer lies within one coarse step of the default
+    assert main(["swsp", "--config", _config_file(tmp_path, delta_p_watts=1e-13)]) == 0
+    fine = capsys.readouterr().out.splitlines()[1].split(",")
+    assert main(["swsp", "--config", _config_file(tmp_path)]) == 0
+    coarse = capsys.readouterr().out.splitlines()[1].split(",")
+    assert float(coarse[4]) <= float(fine[4]) < float(coarse[4]) + 1e-3
+    assert abs(float(fine[5]) - float(coarse[5])) < 1e-4
+

@@ -1,0 +1,97 @@
+"""Property test of the CLI input boundary: any flat config ends either in one
+`error: ...` line with exit 2, or in finite rows whose power lies in [0, P_max]
+and meets the warden gain budget at the sampled warden positions."""
+
+import contextlib
+import io
+import json
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from passcovert import benchmarks, swsp
+from passcovert.channel import beam_gain
+from passcovert.cli import main
+from passcovert.config import config_from_dict
+from passcovert.geometry import PinchLayout
+
+MARGIN_TOL = 1e-9  # relative slack on P * g_max <= Gamma_w
+
+_KEYS = ("carrier_freq_hz", "n_eff", "height_m", "waveguide_length_m", "num_waveguides",
+         "pas_per_waveguide", "pa_spacing_m", "wg_spacing_m", "p_max_dbm", "sigma_b_dbm",
+         "sigma_w_dbm", "delta_sigma_db", "rho_w", "delta_r_m", "willie_samples_k",
+         "bob_x_m", "bob_y_m", "willie_x_m", "willie_y_m", "delta_p_watts")
+_ODD = (math.nan, math.inf, -math.inf, True, False, 0, 0.0, -1, -2.5, 0.5, 2.5, 1e-300)
+_VALUES = st.one_of(st.sampled_from(_ODD), st.integers(-2, 6), st.floats(-40.0, 40.0))
+_CONFIGS = st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=3)
+
+
+def _run(tmp_path, command, keys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(keys))  # NaN and Infinity as Python's json writes them
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(path)])
+    if code == 2:
+        assert out.getvalue() == ""
+        err_lines = [ln for ln in err.getvalue().splitlines() if ln]
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+        return None
+    assert code == 0 and err.getvalue() == ""
+    rows = [ln.split(",") for ln in out.getvalue().splitlines()[1:]]
+    rates_powers = [(float(r[4]), float(r[5])) for r in rows]
+    config = config_from_dict(keys)
+    for rate, power in rates_powers:
+        assert math.isfinite(rate) and rate >= 0.0
+        assert 0.0 <= power <= config.p_max_watts
+    return config, rates_powers
+
+
+def _covert(power, g_max, sc) -> bool:
+    return power * g_max <= sc.gain_budget() * (1.0 + MARGIN_TOL)
+
+
+def _sampled_gain(layout, w, sc, k) -> float:
+    return float(beam_gain(layout, w, sc.willie_samples(k), sc.pc).max())
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(keys=_CONFIGS)
+def test_swsp_cli_rows_are_finite_and_covert(tmp_path_factory, keys):
+    out = _run(tmp_path_factory.mktemp("swsp"), "swsp", keys)
+    if out is None:
+        return
+    config, [(rate, power)] = out
+    sc = config.scenario("swsp")
+    sol = swsp.solve(sc, config.delta_p())
+    assert (sol.rate, sol.p_opt) == (rate, power)
+    if sol.feasible:
+        layout = PinchLayout(sc.geom, np.array([sol.x_opt]))
+        g_max = _sampled_gain(layout, np.ones(1, dtype=complex), sc, config.willie_samples_k)
+        assert _covert(power, g_max, sc)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(keys=_CONFIGS)
+def test_bench_cli_rows_are_finite_and_covert(tmp_path_factory, keys):
+    out = _run(tmp_path_factory.mktemp("bench"), "bench", keys)
+    if out is None:
+        return
+    config, rows = out
+    sc, k = config.scenario("mwmp"), config.willie_samples_k
+    assert len(rows) == len(benchmarks.BenchmarkKind)
+    for kind, (rate, power) in zip(benchmarks.BenchmarkKind, rows):
+        res = benchmarks.evaluate(kind, sc, k=k)
+        assert (res.rate, res.power) == (rate, power)
+        if res.w_tilde is None:
+            continue
+        if kind in (benchmarks.BenchmarkKind.MIMO_ZF, benchmarks.BenchmarkKind.MIMO_MRT):
+            n, h = sc.geom.n_wg, sc.geom.height
+            g_max = max(float(abs(benchmarks.ula_channel(s, n, h, sc.pc) @ res.w_tilde) ** 2)
+                        for s in sc.willie_samples(k))
+        else:
+            layout = benchmarks.heuristic_pass_layout(sc.r_b, sc.geom)
+            g_max = _sampled_gain(layout, res.w_tilde, sc, k)
+        assert _covert(power, g_max, sc)

@@ -281,3 +281,19 @@ def test_worst_case_gain_cross_is_optimistic(pc28):
                      for r in radii for a in angles])
     dense = worst_case_gain(layout, w, disk, pc28)
     assert cross <= dense + 1e-18
+
+
+@pytest.mark.parametrize("nominal, delta", [
+    (float("nan"), 10**0.2), (float("inf"), 10**0.2),
+    (1e-10, float("nan")), (1e-10, float("inf")),
+], ids=["nominal_nan", "nominal_inf", "delta_nan", "delta_inf"])
+def test_noise_uncertainty_rejects_non_finite(nominal, delta):
+    # NaN passed the old `<=` checks and silently disabled the forbidden zone
+    with pytest.raises(ValueError, match="finite"):
+        NoiseUncertainty(nominal, delta)
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_willie_uncertainty_rejects_non_finite_radius(radius):
+    with pytest.raises(ValueError, match="finite"):
+        WillieUncertainty(np.array([7.0, -9.0, 0.0]), radius)

@@ -7,9 +7,9 @@ import pytest
 
 from passcovert import (CovertnessInfeasibleError, CovertnessSpec, ExperimentConfig,
                         NoiseUncertainty, Scenario, WillieUncertainty, achievable_rate,
-                        forbidden_zone, optimal_detection, optimal_position)
+                        forbidden_zone, harness, optimal_detection, optimal_position)
 from passcovert.geometry import PassGeometry
-from passcovert.swsp import rate_trace, solve
+from passcovert.swsp import _positions_at, _rates, _search, rate_trace, solve
 
 
 def _scenario(bob=(20.0, 6.0), willie=(7.0, -9.0), rho=0.1, delta_r=0.5,
@@ -224,3 +224,100 @@ def test_scenario_replace_keeps_validation():
     sc = _scenario()
     with pytest.raises(ValueError):
         dataclasses.replace(sc, sigma_b_sq=0.0)
+
+
+@pytest.mark.parametrize("field", ["p_max", "sigma_b_sq"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_scenario_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(_scenario(), **{field: value})
+
+
+def _full_scan(sc, delta_p):
+    """The grid scan's answer (the last maximum over every feasible grid power)
+    and the number of feasible grid powers."""
+    powers, xs, rates = _search(sc, delta_p)
+    if powers.size == 0:
+        return (0.0, None, 0.0, False), 0
+    best = int(np.flatnonzero(rates == rates.max())[-1])
+    return (float(powers[best]), float(xs[best]), float(rates[best]), True), powers.size
+
+
+def _exactness_cases():
+    """(scenario, delta_p) pairs: sweep-shaped solves over the three sweep
+    variables, then random stress scenarios."""
+    cfg = ExperimentConfig()
+    sweeps = {"target_error_rate": [0.80, 0.85, 0.90, 0.95],
+              "power_budget": [10.0, 15.0, 20.0, 25.0, 30.0],
+              "uncertainty_radius": [0.1, 0.5, 1.0, 1.5, 2.0]}
+    for sc in harness.sample_scenarios(cfg, n=20, seed=5):
+        sc = dataclasses.replace(sc, geom=cfg.geometry_swsp())
+        for variable, values in sweeps.items():
+            for value in values:
+                yield harness._apply_sweep_value(sc, variable, value), cfg.delta_p()
+    rng = np.random.default_rng(20251018)
+    for _ in range(1800):
+        length = rng.uniform(5.0, 40.0)
+        sc = Scenario(
+            r_b=np.array([rng.uniform(-8.0, length + 8.0), rng.uniform(-10.0, 10.0), 0.0]),
+            willie=WillieUncertainty(
+                np.array([rng.uniform(-5.0, length + 5.0), rng.uniform(-10.0, 10.0), 0.0]),
+                rng.uniform(0.0, 6.0)),
+            noise_w=NoiseUncertainty(cfg.sigma_w_sq_watts, cfg.delta_sigma),
+            covertness=CovertnessSpec(0.6 * (1.0 - rng.uniform())),  # (0, 0.6]
+            sigma_b_sq=cfg.sigma_b_sq_watts,
+            p_max=10.0 ** ((rng.uniform(-10.0, 45.0) - 30.0) / 10.0),
+            geom=PassGeometry.single_waveguide(rng.uniform(1.0, 5.0), length),
+            pc=cfg.phys_constants(),
+        )
+        # a step that does not divide p_max: 500 to 20,000 grid points
+        yield sc, sc.p_max / (10.0 ** rng.uniform(2.7, 4.3) + 0.37)
+
+
+def test_solve_equals_full_scan_bit_for_bit():
+    # the branch-and-bound search returns the scan's grid point in all four
+    # fields, on sweep-shaped and stress scenarios alike
+    seen = {"cases": 0, "infeasible_suffix": 0, "all_infeasible": 0,
+            "bob_outside": 0, "not_dividing": 0}
+    mismatches = []
+    for sc, delta_p in _exactness_cases():
+        sol = solve(sc, delta_p)
+        got = (sol.p_opt, sol.x_opt, sol.rate, sol.feasible)
+        want, visited = _full_scan(sc, delta_p)
+        if got != want:
+            mismatches.append((sc.r_b, sc.willie, sc.p_max, delta_p, got, want))
+        n = int(np.floor(sc.p_max / delta_p + 1e-9))
+        seen["cases"] += 1
+        seen["infeasible_suffix"] += 0 < visited < n
+        seen["all_infeasible"] += visited == 0
+        seen["bob_outside"] += not 0.0 <= sc.r_b[0] <= sc.geom.length
+        seen["not_dividing"] += n * delta_p != sc.p_max
+    assert not mismatches, f"{len(mismatches)} mismatches, first: {mismatches[0]}"
+    assert seen["cases"] >= 2000
+    for key in ("infeasible_suffix", "all_infeasible", "bob_outside", "not_dividing"):
+        assert seen[key] >= 50, seen
+
+
+@pytest.mark.parametrize("delta_p", [float("nan"), float("inf"), 0.0, -1e-5, 1e-300])
+def test_solve_rejects_bad_resolution(delta_p):
+    # not a finite positive number, or more grid steps than fit in int64
+    with pytest.raises(ValueError, match="resolution"):
+        solve(_scenario(), delta_p)
+
+
+def test_fine_grid_keeps_largest_power_on_ties():
+    # at 1e-11 W the default instance has 1e11 grid powers, too many to scan,
+    # and several of them share the maximal rate to the last bit; the answer
+    # must be the largest of those, checked by a local scan around it
+    cfg = ExperimentConfig()
+    sc, delta_p = cfg.scenario("swsp"), 1e-11
+    sol = solve(sc, delta_p)
+    i_opt = int(round(sol.p_opt / delta_p))
+    idx = np.arange(i_opt - 100_000, i_opt + 100_001)
+    powers, xs = _positions_at(idx, sc, delta_p)
+    rates = _rates(powers, xs, sc)
+    ties = idx[rates == rates.max()]
+    assert ties.size > 1
+    assert ties[-1] == i_opt
+    at = i_opt - idx[0]
+    assert (sol.p_opt, sol.x_opt, sol.rate) == (powers[at], xs[at], rates[at])
