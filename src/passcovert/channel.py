@@ -7,6 +7,10 @@ import numpy as np
 from .constants import PhysConstants
 from .geometry import BeamVector, PinchLayout, as_vec3
 
+# receivers per kernel call in beam_pattern_grid: the complex temporaries of a
+# block stay cache-sized instead of growing with the grid
+GRID_BLOCK_CELLS = 16384
+
 
 def los_coeff(p, r, pc: PhysConstants) -> complex:
     """Spherical-wave LoS coefficient sqrt(eta) * exp(-j k_c d) / d between two points."""
@@ -117,7 +121,13 @@ def beam_pattern_grid(layout: PinchLayout, beam: BeamVector, xs, ys, pc: PhysCon
         raise ValueError("beam pattern grid must contain at least one cell")
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     cells = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
-    gains = beam_gain(layout, beam.weights, cells, pc).reshape(xs.size, ys.size)
+    # every cell's channel and its dot product with the weights are computed on
+    # their own, so evaluating in blocks gives the bits of one call over all cells
+    gains = np.empty(len(cells))
+    for start in range(0, len(cells), GRID_BLOCK_CELLS):
+        stop = start + GRID_BLOCK_CELLS
+        gains[start:stop] = beam_gain(layout, beam.weights, cells[start:stop], pc)
+    gains = gains.reshape(xs.size, ys.size)
     if normalize:
         peak = gains.max()
         if peak > 0.0:

@@ -90,22 +90,29 @@ def _solved_beam(config: ExperimentConfig, case: str):
         return sc, layout, BeamVector(np.ones(1, dtype=complex), sol.p_opt)
     sc = config.scenario("mwmp")
     sol = mwmp.solve(sc, config.pso_params(), k=config.willie_samples_k)
+    if not sol.power > 0.0:  # a zero-power beam has no pattern to normalize
+        raise ValueError("configured instance allows no covert power; no pattern")
     layout = PinchLayout(sc.geom, sol.x_init)
     return sc, layout, BeamVector(sol.w_tilde, sol.power)
 
 
 def _pattern_csv(config: ExperimentConfig, case: str) -> str:
-    sc, layout, beam = _solved_beam(config, case)
     res = config.pattern_res_m
+    if not res > 0.0:
+        raise ValueError(f"pattern_res_m must be positive, got {res!r}")
+    sc, layout, beam = _solved_beam(config, case)
     xs = np.linspace(0.0, sc.geom.length, round(sc.geom.length / res) + 1)
     half = config.pattern_y_halfwidth_m
     ys = np.linspace(-half, half, round(2.0 * half / res) + 1)
     grid = beam_pattern_grid(layout, beam, xs, ys, sc.pc, normalize=True)
-    lines = ["x,y,gain_normalized"]
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            lines.append(f"{x:.17g},{y:.17g},{grid[i, j]:.17g}")
-    return "\n".join(lines) + "\n"
+    # one "%" per grid row fills a template holding every y of the row; the
+    # gains go through the same .17g conversion as a per-cell f-string would
+    tails = [f",{y:.17g},%.17g\n" for y in ys]
+    rows = ["x,y,gain_normalized\n"]
+    for x, gains in zip(xs, grid):
+        head = f"{x:.17g}"
+        rows.append((head + head.join(tails)) % tuple(gains.tolist()))
+    return "".join(rows)
 
 
 def main(argv=None) -> int:
@@ -133,6 +140,8 @@ def main(argv=None) -> int:
             records = harness.run_sweep(config, args.variable, values, schemes)
             _emit_records(records, args)
         elif args.command == "pattern":
+            if args.format != "csv":
+                raise ValueError(f"pattern output is CSV only, got --format {args.format}")
             _write(_pattern_csv(config, args.case), args.out)
         elif args.command == "converge":
             _emit_records(harness.run_convergence(config, args.case), args)

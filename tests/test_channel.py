@@ -6,7 +6,7 @@ import pytest
 from passcovert import (BeamVector, PassGeometry, PinchLayout, derive_constants,
                         effective_channel, effective_channel_at, freespace_vector,
                         inwg_phase, inwg_vector, los_coeff, snr_bob)
-from passcovert.channel import _effective_batch, beam_pattern_grid
+from passcovert.channel import GRID_BLOCK_CELLS, _effective_batch, beam_gain, beam_pattern_grid
 
 
 def test_derive_constants_28ghz(pc28):
@@ -223,6 +223,29 @@ def test_beam_pattern_rejects_empty_grid(pc28):
     layout = PinchLayout(geom, np.array([7.25]))
     with pytest.raises(ValueError):
         beam_pattern_grid(layout, BeamVector(np.ones(1, dtype=complex)), [], [0.0], pc28)
+
+
+def _one_call_pattern(layout, beam, xs, ys, pc):
+    """The pattern's defining formula: one kernel call over every cell, then normalized."""
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    cells = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
+    gains = beam_gain(layout, beam.weights, cells, pc).reshape(xs.size, ys.size)
+    return gains / gains.max()
+
+
+def test_beam_pattern_blocks_bit_identical_to_one_call(pc28, rng):
+    geom = PassGeometry(3.0, 25.0, 4, 3, (-4.5, -1.5, 1.5, 4.5), 0.0054)
+    layout = PinchLayout(geom, rng.uniform(0.0, geom.usable_length, 4))
+    w = rng.normal(size=4) + 1j * rng.normal(size=4)
+    beam = BeamVector(w / np.linalg.norm(w), 0.5)
+    ys = np.linspace(-12.0, 12.0, 97)
+    xs = np.linspace(0.0, 25.0, 3 * GRID_BLOCK_CELLS // ys.size + 2)
+    cells = xs.size * ys.size
+    assert cells > 3 * GRID_BLOCK_CELLS and cells % GRID_BLOCK_CELLS
+    got = beam_pattern_grid(layout, beam, xs, ys, pc28, normalize=True)
+    want = _one_call_pattern(layout, beam, xs, ys, pc28)
+    assert got.shape == want.shape == (xs.size, ys.size)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_effective_channel_at_batches_match_single(pc28, rng):

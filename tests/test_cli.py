@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, formats, determinism, error reporting."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +75,16 @@ def test_pattern_subcommand(tmp_path):
     assert abs(peak[1]) <= 1.3
 
 
+@pytest.mark.parametrize("case", ["swsp", "mwmp"])
+def test_pattern_matches_golden(tmp_path, case):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"pattern_res_m": 1.0}')
+    out = tmp_path / "pattern.csv"
+    assert main(["pattern", "--config", str(cfg), "--case", case, "--out", str(out)]) == 0
+    golden = Path(__file__).parent / "data" / f"golden_pattern_{case}.csv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
 def test_converge_subcommand(tmp_path):
     cfg = _config_file(tmp_path)
     out = tmp_path / "trace.csv"
@@ -118,9 +129,15 @@ def test_error_on_unwritable_out(tmp_path, capsys):
     ("swsp", {"carrier_freq_hz": 5.9e-150}, []),
     # the trace needs every grid step, and 1e16 of them fit in no address space
     ("converge", {"converge_delta_p_watts": 1e-16}, ["--case", "swsp"]),
+    # pattern output is CSV only; JSON was once ignored and CSV written
+    ("pattern", {}, ["--format", "json"]),
+    ("pattern", {"pattern_res_m": 0}, []),
+    # a zero-power mwmp beam once gave an all-zero "normalized" map
+    ("pattern", {"rho_w": 0}, ["--case", "mwmp"]),
 ], ids=["delta_r_nan", "delta_r_inf", "p_max_inf", "vmax_nan", "n_wg_bool", "n_wg_fraction",
      "values_nan", "wg_stacked", "delta_p_negative", "delta_p_steps_overflow", "samples_k_zero",
-     "carrier_underflow", "converge_grid_out_of_memory"])
+     "carrier_underflow", "converge_grid_out_of_memory", "pattern_json", "pattern_res_zero",
+     "pattern_zero_power"])
 def test_invalid_numeric_inputs_rejected(tmp_path, capsys, command, keys, extra):
     # each of these once printed a nan row, an unsafe full-power rate or a
     # silently coerced setting with exit 0, or died with a traceback

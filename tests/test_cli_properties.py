@@ -1,6 +1,7 @@
 """Property test of the CLI input boundary: any flat config ends either in one
 `error: ...` line with exit 2, or in finite rows whose power lies in [0, P_max]
-and meets the warden gain budget at the sampled warden positions."""
+and meets the warden gain budget at the sampled warden positions, or, for
+`pattern`, in the library's normalized beam map on the configured grid."""
 
 import contextlib
 import io
@@ -8,12 +9,13 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from passcovert import benchmarks, swsp
-from passcovert.channel import beam_gain
-from passcovert.cli import main
+from passcovert.channel import beam_gain, beam_pattern_grid
+from passcovert.cli import _solved_beam, main
 from passcovert.config import config_from_dict
 from passcovert.geometry import PinchLayout
 
@@ -26,27 +28,32 @@ _KEYS = ("carrier_freq_hz", "n_eff", "height_m", "waveguide_length_m", "num_wave
 _ODD = (math.nan, math.inf, -math.inf, True, False, 0, 0.0, -1, -2.5, 0.5, 2.5, 1e-300)
 _VALUES = st.one_of(st.sampled_from(_ODD), st.integers(-2, 6), st.floats(-40.0, 40.0))
 _CONFIGS = st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=3)
+# a coarse grid and a short swarm keep each pattern example cheap
+_PATTERN_KEYS = {"pattern_res_m": 2.0, "pso_iterations": 5}
 
 
-def _run(tmp_path, command, keys):
+def _run(tmp_path, args, keys):
+    """(config, CSV rows without the header), or None when the CLI reported an error."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(keys))  # NaN and Infinity as Python's json writes them
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "--config", str(path)])
+        code = main(args[:1] + ["--config", str(path)] + args[1:])
     if code == 2:
         assert out.getvalue() == ""
         err_lines = [ln for ln in err.getvalue().splitlines() if ln]
         assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
         return None
     assert code == 0 and err.getvalue() == ""
-    rows = [ln.split(",") for ln in out.getvalue().splitlines()[1:]]
+    return config_from_dict(keys), [ln.split(",") for ln in out.getvalue().splitlines()[1:]]
+
+
+def _rates_powers(config, rows):
     rates_powers = [(float(r[4]), float(r[5])) for r in rows]
-    config = config_from_dict(keys)
     for rate, power in rates_powers:
         assert math.isfinite(rate) and rate >= 0.0
         assert 0.0 <= power <= config.p_max_watts
-    return config, rates_powers
+    return rates_powers
 
 
 def _covert(power, g_max, sc) -> bool:
@@ -60,10 +67,11 @@ def _sampled_gain(layout, w, sc, k) -> float:
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(keys=_CONFIGS)
 def test_swsp_cli_rows_are_finite_and_covert(tmp_path_factory, keys):
-    out = _run(tmp_path_factory.mktemp("swsp"), "swsp", keys)
+    out = _run(tmp_path_factory.mktemp("swsp"), ["swsp"], keys)
     if out is None:
         return
-    config, [(rate, power)] = out
+    config, rows = out
+    [(rate, power)] = _rates_powers(config, rows)
     sc = config.scenario("swsp")
     sol = swsp.solve(sc, config.delta_p())
     assert (sol.rate, sol.p_opt) == (rate, power)
@@ -76,10 +84,11 @@ def test_swsp_cli_rows_are_finite_and_covert(tmp_path_factory, keys):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(keys=_CONFIGS)
 def test_bench_cli_rows_are_finite_and_covert(tmp_path_factory, keys):
-    out = _run(tmp_path_factory.mktemp("bench"), "bench", keys)
+    out = _run(tmp_path_factory.mktemp("bench"), ["bench"], keys)
     if out is None:
         return
     config, rows = out
+    rows = _rates_powers(config, rows)
     sc, k = config.scenario("mwmp"), config.willie_samples_k
     assert len(rows) == len(benchmarks.BenchmarkKind)
     for kind, (rate, power) in zip(benchmarks.BenchmarkKind, rows):
@@ -95,3 +104,25 @@ def test_bench_cli_rows_are_finite_and_covert(tmp_path_factory, keys):
             layout = benchmarks.heuristic_pass_layout(sc.r_b, sc.geom)
             g_max = _sampled_gain(layout, res.w_tilde, sc, k)
         assert _covert(power, g_max, sc)
+
+
+@pytest.mark.parametrize("case", ["swsp", "mwmp"])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(keys=_CONFIGS)
+def test_pattern_cli_rows_match_library_grid(tmp_path_factory, case, keys):
+    keys = {**keys, **_PATTERN_KEYS}
+    out = _run(tmp_path_factory.mktemp("pattern"), ["pattern", "--case", case], keys)
+    if out is None:
+        return
+    config, rows = out
+    sc, layout, beam = _solved_beam(config, case)
+    res, half = config.pattern_res_m, config.pattern_y_halfwidth_m
+    xs = np.linspace(0.0, sc.geom.length, round(sc.geom.length / res) + 1)
+    ys = np.linspace(-half, half, round(2.0 * half / res) + 1)
+    cells = np.array(rows, dtype=float)  # %.17g text parses back to the same doubles
+    assert cells.shape == (xs.size * ys.size, 3)
+    assert np.array_equal(cells[:, 0], np.repeat(xs, ys.size))
+    assert np.array_equal(cells[:, 1], np.tile(ys, xs.size))
+    grid = beam_pattern_grid(layout, beam, xs, ys, sc.pc, normalize=True)
+    assert np.array_equal(cells[:, 2], grid.ravel())
+    assert grid.max() == 1.0

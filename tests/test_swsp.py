@@ -27,14 +27,17 @@ def _scenario(bob=(20.0, 6.0), willie=(7.0, -9.0), rho=0.1, delta_r=0.5,
     )
 
 
-def _worst_xi(sc, x, power, n_angles=60, n_radii=18):
-    """Exact-geometry covertness oracle: worst warden error rate over a dense
-    disk sample (boundary included) for an antenna at x with the given power."""
-    center = sc.willie.center
+def _disk_points(sc, n_angles=60, n_radii=18):
+    """Dense polar sample of the warden's disk (boundary included), radius-major."""
     radii = np.linspace(0.0, sc.willie.radius, n_radii)
     angles = np.linspace(0.0, 2 * np.pi, n_angles, endpoint=False)
-    pts = np.array([center[:2] + r * np.array([np.cos(a), np.sin(a)])
-                    for r in radii for a in angles])
+    unit = np.column_stack([np.cos(angles), np.sin(angles)])
+    return (sc.willie.center[:2] + radii[:, None, None] * unit).reshape(-1, 2)
+
+
+def _worst_xi(sc, pts, x, power):
+    """Exact-geometry covertness oracle: worst warden error rate over the disk
+    sample ``pts`` for an antenna at x with the given power."""
     d_sq = (pts[:, 0] - x) ** 2 + pts[:, 1] ** 2 + sc.geom.height**2
     s = power * sc.pc.eta / d_sq
     _, xi = optimal_detection(s, sc.noise_w)
@@ -69,8 +72,9 @@ def test_zone_against_brute_force_covertness_scan():
     assert not zone.empty
     target = 1.0 - sc.covertness.rho_w
     xs = np.linspace(0.0, 25.0, 2000)
+    pts = _disk_points(sc)
     for x in xs:
-        worst = _worst_xi(sc, x, power)
+        worst = _worst_xi(sc, pts, x, power)
         if zone.interval[0] + 1e-6 < x < zone.interval[1] - 1e-6:
             assert worst < target + 1e-9
         elif x < zone.interval[0] - 1e-6 or x > zone.interval[1] + 1e-6:
@@ -172,7 +176,7 @@ def test_solution_is_covert_on_dense_disk():
         sc = _scenario(willie=willie)
         sol = solve(sc, sc.p_max / 1e5)
         assert sol.feasible
-        worst = _worst_xi(sc, sol.x_opt, sol.p_opt, n_angles=80, n_radii=25)
+        worst = _worst_xi(sc, _disk_points(sc, n_angles=80, n_radii=25), sol.x_opt, sol.p_opt)
         assert worst >= 1.0 - sc.covertness.rho_w - 1e-9
 
 
