@@ -5,13 +5,19 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from . import benchmarks, harness, mwmp, swsp
+from . import harness, mwmp, swsp
 from .channel import beam_pattern_grid
 from .config import ExperimentConfig, load_config
 from .geometry import BeamVector, PinchLayout
+
+
+# schemes of the single-instance subcommands, in output order; the four
+# reference schemes follow swsp and mwmp in harness.SCHEMES
+_SINGLE_SCHEMES = {"swsp": ("swsp",), "mwmp": ("mwmp",), "bench": harness.SCHEMES[2:]}
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -61,22 +67,19 @@ def _load(args) -> ExperimentConfig:
     return config
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(pieces: Iterable[str], out: str | None) -> None:
+    """Write strings one after another to ``out`` (standard output when None)."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _emit_records(records, args) -> None:
     text = (harness.records_to_csv(records) if args.format == "csv"
             else harness.records_to_json(records))
-    _write(text, args.out)
-
-
-def _single_record(scheme: str, rate: float, power: float, seed: int) -> harness.SweepRecord:
-    return harness.SweepRecord(scheme, "none", 0.0, 0, rate, power, seed)
+    _write([text], args.out)
 
 
 def _solved_beam(config: ExperimentConfig, case: str):
@@ -96,43 +99,48 @@ def _solved_beam(config: ExperimentConfig, case: str):
     return sc, layout, BeamVector(sol.w_tilde, sol.power)
 
 
-def _pattern_csv(config: ExperimentConfig, case: str) -> str:
-    res = config.pattern_res_m
+def _pattern_csv(config: ExperimentConfig, case: str) -> Iterator[str]:
+    """The pattern CSV as an iterator of grid rows of text.
+
+    The instance is solved and the grid evaluated before this returns, so a
+    bad input fails before any output is opened. The text is made one row at
+    a time as it is written: the whole map never sits in memory as one string.
+    """
+    res, half = config.pattern_res_m, config.pattern_y_halfwidth_m
     if not res > 0.0:
         raise ValueError(f"pattern_res_m must be positive, got {res!r}")
+    if not half >= 0.0:  # 0 is one cut along the waveguide axis
+        raise ValueError(f"pattern_y_halfwidth_m must be non-negative, got {half!r}")
     sc, layout, beam = _solved_beam(config, case)
     xs = np.linspace(0.0, sc.geom.length, round(sc.geom.length / res) + 1)
-    half = config.pattern_y_halfwidth_m
     ys = np.linspace(-half, half, round(2.0 * half / res) + 1)
     grid = beam_pattern_grid(layout, beam, xs, ys, sc.pc, normalize=True)
     # one "%" per grid row fills a template holding every y of the row; the
     # gains go through the same .17g conversion as a per-cell f-string would
     tails = [f",{y:.17g},%.17g\n" for y in ys]
-    rows = ["x,y,gain_normalized\n"]
-    for x, gains in zip(xs, grid):
-        head = f"{x:.17g}"
-        rows.append((head + head.join(tails)) % tuple(gains.tolist()))
-    return "".join(rows)
+
+    def rows():
+        yield "x,y,gain_normalized\n"
+        for x, gains in zip(xs, grid):
+            head = f"{x:.17g}"
+            yield (head + head.join(tails)) % tuple(gains.tolist())
+
+    return rows()
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load(args)
-        if args.command == "swsp":
-            sc = config.scenario("swsp")
-            sol = swsp.solve(sc, config.delta_p())
-            _emit_records([_single_record("swsp", sol.rate, sol.p_opt, config.seed)], args)
-        elif args.command == "mwmp":
-            sc = config.scenario("mwmp")
-            sol = mwmp.solve(sc, config.pso_params(), k=config.willie_samples_k)
-            _emit_records([_single_record("mwmp", sol.rate, sol.power, config.seed)], args)
-        elif args.command == "bench":
-            sc = config.scenario("mwmp")
+        if args.command in _SINGLE_SCHEMES:
+            # swsp never builds the multi-waveguide geometry, so its checks
+            # (e.g. on wg_spacing_m) cannot fail a swsp solve
+            sc = config.scenario("swsp" if args.command == "swsp" else "mwmp")
             records = []
-            for kind in benchmarks.BenchmarkKind:
-                res = benchmarks.evaluate(kind, sc, k=config.willie_samples_k)
-                records.append(_single_record(kind.value, res.rate, res.power, config.seed))
+            for scheme in _SINGLE_SCHEMES[args.command]:
+                rate, power = harness.solve_scheme(scheme, sc, config, config.seed)
+                records.append(harness.SweepRecord(scheme, "none", 0.0, 0, rate, power,
+                                                   config.seed))
             _emit_records(records, args)
         elif args.command == "sweep":
             values = [float(v) for v in args.values.split(",") if v]

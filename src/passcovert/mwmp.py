@@ -80,47 +80,82 @@ def _context(sc: Scenario, k: int) -> _EvalContext:
                         sc.sigma_b_sq, sc.gain_budget(), sc.p_max, sc.pc)
 
 
-def _eval_layouts(ps_pos: np.ndarray, w: np.ndarray, ctx: _EvalContext) -> np.ndarray:
-    """Fitness of a batch of normalized PS positions under a fixed weight vector."""
+def _channels(ps_pos: np.ndarray, ctx: _EvalContext) -> np.ndarray:
+    """Effective channels (J, 1 + S, N) of a batch (J, N) of normalized layouts."""
     pa_x = ps_pos[:, :, None] * ctx.usable_len + ctx.pa_offsets[None, None, :]
-    eff = _effective_batch(pa_x, ctx.wg_y, ctx.height, ctx.receivers, ctx.pc)
-    gains = np.abs(eff @ w) ** 2  # (J, 1 + S)
+    return _effective_batch(pa_x, ctx.wg_y, ctx.height, ctx.receivers, ctx.pc)
+
+
+def _fitness(gains: np.ndarray, ctx: _EvalContext) -> np.ndarray:
+    """Covert rate of each row of receiver gains (J, 1 + S), Bob's gain first."""
     return covert_power_rate(gains[:, 0], gains[:, 1:].max(axis=1), ctx.gamma_w, ctx.p_max,
                              ctx.sigma_b_sq)[1]
 
 
-def _layout_channel(x_norm: np.ndarray, ctx: _EvalContext) -> np.ndarray:
-    """Effective channels (1 + S, N) of one normalized layout."""
-    pa_x = x_norm[None, :, None] * ctx.usable_len + ctx.pa_offsets[None, None, :]
-    return _effective_batch(pa_x, ctx.wg_y, ctx.height, ctx.receivers, ctx.pc)[0]
+def _clip(x: np.ndarray, lo: float, hi: float) -> None:
+    """Clamp an array (or a view of one) to [lo, hi] in place."""
+    np.maximum(x, lo, out=x)
+    np.minimum(x, hi, out=x)
 
 
-def _eval_weights(eff: np.ndarray, bs_pos: np.ndarray, ctx: _EvalContext) -> np.ndarray:
-    """Fitness of a batch of unit weight vectors under a fixed layout's channels."""
-    gains = np.abs(bs_pos @ eff.T) ** 2  # (I, 1 + S)
-    return covert_power_rate(gains[:, 0], gains[:, 1:].max(axis=1), ctx.gamma_w, ctx.p_max,
-                             ctx.sigma_b_sq)[1]
+@dataclass(eq=False)
+class Swarm:
+    """One particle swarm (Kennedy & Eberhart 1995): positions, velocities and the
+    personal and global bests, real or complex alike."""
+
+    pos: np.ndarray
+    vel: np.ndarray
+    best_pos: np.ndarray
+    best_score: np.ndarray
+    glo_pos: np.ndarray
+    glo_score: float = -np.inf
+
+    @classmethod
+    def start(cls, pos: np.ndarray, glo_pos: np.ndarray) -> Swarm:
+        """Zero velocities; every personal best is its start position at score -inf."""
+        return cls(pos, np.zeros_like(pos), pos.copy(), np.full(len(pos), -np.inf), glo_pos)
+
+    def advance(self, scores: np.ndarray, rng: np.random.Generator, inertia: float,
+                cognitive: float, social: float, v_max: float) -> bool:
+        """Take in the scores of ``pos`` and move every particle; returns whether
+        the global best moved.
+
+        Draws theta1 then theta2, one factor per coordinate, and updates the
+        velocity in the float order of
+        inertia * vel + cognitive * theta1 * (best - pos) + social * theta2 * (glo - pos).
+        The cap applies to real and imaginary parts independently.
+        """
+        improved = scores > self.best_score
+        self.best_score[improved] = scores[improved]
+        self.best_pos[improved] = self.pos[improved]
+        best = int(np.argmax(self.best_score))
+        moved = bool(self.best_score[best] > self.glo_score)
+        if moved:
+            self.glo_score = float(self.best_score[best])
+            self.glo_pos = self.best_pos[best].copy()
+        theta1 = rng.random(self.pos.shape)
+        theta2 = rng.random(self.pos.shape)
+        self.vel *= inertia
+        term = self.best_pos - self.pos
+        term *= cognitive * theta1
+        self.vel += term
+        term = self.glo_pos - self.pos
+        term *= social * theta2
+        self.vel += term
+        _clip(self.vel.view(float), -v_max, v_max)
+        self.pos += self.vel
+        return moved
 
 
 @dataclass(eq=False)
 class TwinSwarms:
     """Mutable optimizer state; positions always satisfy their constraints."""
 
-    ps_pos: np.ndarray
-    ps_vel: np.ndarray
-    ps_best_pos: np.ndarray
-    ps_best_score: np.ndarray
-    ps_glo_pos: np.ndarray
-    ps_glo_score: float
-    bs_pos: np.ndarray
-    bs_vel: np.ndarray
-    bs_best_pos: np.ndarray
-    bs_best_score: np.ndarray
-    bs_glo_pos: np.ndarray
-    bs_glo_score: float
+    ps: Swarm  # normalized first-antenna positions, real (n_ps, N) in [0, 1]
+    bs: Swarm  # beamforming weights, complex unit rows (n_bs, N)
     rng: np.random.Generator
-    # channels of the layout ps_glo_pos for the beamforming half; None until
-    # the first step and again whenever ps_glo_pos moves
+    # channels of the layout ps.glo_pos for the beamforming half; None until
+    # the first step and again whenever ps.glo_pos moves
     bs_channel: np.ndarray | None = None
 
 
@@ -145,47 +180,14 @@ def _renormalize_rows(pos: np.ndarray, rng: np.random.Generator) -> None:
     pos /= norms
 
 
-def _clip(x: np.ndarray, lo: float, hi: float) -> None:
-    """Clamp an array (or a view of one) to [lo, hi] in place."""
-    np.maximum(x, lo, out=x)
-    np.minimum(x, hi, out=x)
-
-
-def _update_velocity(vel, pos, best_pos, glo_pos, theta1, theta2,
-                     inertia, cognitive, social) -> None:
-    """PSO velocity update in place, in the float order of
-    inertia * vel + cognitive * theta1 * (best - pos) + social * theta2 * (glo - pos)."""
-    vel *= inertia
-    term = best_pos - pos
-    term *= cognitive * theta1
-    vel += term
-    term = glo_pos - pos
-    term *= social * theta2
-    vel += term
-
-
 def init_swarms(n_wg: int, params: PsoParams, rng: np.random.Generator) -> TwinSwarms:
     """Random start: PS uniform on [0,1]^N, BS complex-normal rows normalized,
-    zero velocities, best scores at -inf, random global-best positions."""
+    random global-best positions."""
     ps_pos = rng.random((params.n_ps, n_wg))
     bs_pos = _random_unit_rows(rng, params.n_bs, n_wg)
     ps_glo = rng.random(n_wg)
     bs_glo = _random_unit_rows(rng, 1, n_wg)[0]
-    return TwinSwarms(
-        ps_pos=ps_pos,
-        ps_vel=np.zeros((params.n_ps, n_wg)),
-        ps_best_pos=ps_pos.copy(),
-        ps_best_score=np.full(params.n_ps, -np.inf),
-        ps_glo_pos=ps_glo,
-        ps_glo_score=-np.inf,
-        bs_pos=bs_pos,
-        bs_vel=np.zeros((params.n_bs, n_wg), dtype=complex),
-        bs_best_pos=bs_pos.copy(),
-        bs_best_score=np.full(params.n_bs, -np.inf),
-        bs_glo_pos=bs_glo,
-        bs_glo_score=-np.inf,
-        rng=rng,
-    )
+    return TwinSwarms(Swarm.start(ps_pos, ps_glo), Swarm.start(bs_pos, bs_glo), rng)
 
 
 def step(swarms: TwinSwarms, ctx: _EvalContext, params: PsoParams) -> tuple[float, float]:
@@ -193,51 +195,27 @@ def step(swarms: TwinSwarms, ctx: _EvalContext, params: PsoParams) -> tuple[floa
 
     Random factors are drawn per dimension in a fixed order (PS cognitive, PS
     social, BS cognitive, BS social), so a seeded run is reproducible. The
-    beamforming half reuses ``swarms.bs_channel`` until ``ps_glo_pos`` moves,
+    beamforming half reuses ``swarms.bs_channel`` until ``ps.glo_pos`` moves,
     so every step on one swarm state must see the same context.
     """
-    rng = swarms.rng
+    ps, bs, rng = swarms.ps, swarms.bs, swarms.rng
 
     # position half: weights fixed to the BS global best
-    w = swarms.bs_glo_pos
-    scores = _eval_layouts(swarms.ps_pos, w, ctx)
-    improved = scores > swarms.ps_best_score
-    swarms.ps_best_score[improved] = scores[improved]
-    swarms.ps_best_pos[improved] = swarms.ps_pos[improved]
-    best = int(np.argmax(swarms.ps_best_score))
-    if swarms.ps_best_score[best] > swarms.ps_glo_score:
-        swarms.ps_glo_score = float(swarms.ps_best_score[best])
-        swarms.ps_glo_pos = swarms.ps_best_pos[best].copy()
+    gains = np.abs(_channels(ps.pos, ctx) @ bs.glo_pos) ** 2
+    if ps.advance(_fitness(gains, ctx), rng, params.inertia_ps, params.cognitive_ps,
+                  params.social_ps, params.v_max):
         swarms.bs_channel = None
-    theta1 = rng.random(swarms.ps_pos.shape)
-    theta2 = rng.random(swarms.ps_pos.shape)
-    _update_velocity(swarms.ps_vel, swarms.ps_pos, swarms.ps_best_pos, swarms.ps_glo_pos,
-                     theta1, theta2, params.inertia_ps, params.cognitive_ps, params.social_ps)
-    _clip(swarms.ps_vel, -params.v_max, params.v_max)
-    swarms.ps_pos += swarms.ps_vel
-    _clip(swarms.ps_pos, 0.0, 1.0)
+    _clip(ps.pos, 0.0, 1.0)
 
     # beamforming half: layout fixed to the PS global best
     if swarms.bs_channel is None:
-        swarms.bs_channel = _layout_channel(swarms.ps_glo_pos, ctx)
-    scores = _eval_weights(swarms.bs_channel, swarms.bs_pos, ctx)
-    improved = scores > swarms.bs_best_score
-    swarms.bs_best_score[improved] = scores[improved]
-    swarms.bs_best_pos[improved] = swarms.bs_pos[improved]
-    best = int(np.argmax(swarms.bs_best_score))
-    if swarms.bs_best_score[best] > swarms.bs_glo_score:
-        swarms.bs_glo_score = float(swarms.bs_best_score[best])
-        swarms.bs_glo_pos = swarms.bs_best_pos[best].copy()
-    theta1 = rng.random(swarms.bs_pos.shape)
-    theta2 = rng.random(swarms.bs_pos.shape)
-    _update_velocity(swarms.bs_vel, swarms.bs_pos, swarms.bs_best_pos, swarms.bs_glo_pos,
-                     theta1, theta2, params.inertia_bs, params.cognitive_bs, params.social_bs)
-    # the cap applies to real and imaginary parts independently
-    _clip(swarms.bs_vel.view(float), -params.v_max, params.v_max)
-    swarms.bs_pos += swarms.bs_vel
-    _renormalize_rows(swarms.bs_pos, rng)
+        swarms.bs_channel = _channels(ps.glo_pos[None], ctx)[0]
+    gains = np.abs(bs.pos @ swarms.bs_channel.T) ** 2
+    bs.advance(_fitness(gains, ctx), rng, params.inertia_bs, params.cognitive_bs,
+               params.social_bs, params.v_max)
+    _renormalize_rows(bs.pos, rng)
 
-    return swarms.ps_glo_score, swarms.bs_glo_score
+    return ps.glo_score, bs.glo_score
 
 
 def solve(sc: Scenario, params: PsoParams, k: int = 1) -> MwmpSolution:
@@ -252,8 +230,8 @@ def solve(sc: Scenario, params: PsoParams, k: int = 1) -> MwmpSolution:
         best = max(best, ps_score, bs_score)
         trace[t] = best
 
-    w_tilde = swarms.bs_glo_pos
-    x_init = swarms.ps_glo_pos * ctx.usable_len
+    w_tilde = swarms.bs.glo_pos
+    x_init = swarms.ps.glo_pos * ctx.usable_len
     layout = PinchLayout(sc.geom, x_init)
     g_max = worst_case_gain(layout, w_tilde, ctx.receivers[1:], sc.pc)
     g_bob = float(beam_gain(layout, w_tilde, sc.r_b[None, :], sc.pc)[0])

@@ -112,8 +112,7 @@ def optimal_position(power: float, sc: Scenario) -> float | None:
 
 def achievable_rate(x: float, power: float, sc: Scenario) -> float:
     """Covert rate log2(1 + gamma_b) with the antenna at ``x``."""
-    d_sq = (sc.r_b[0] - x) ** 2 + sc.r_b[1] ** 2 + sc.geom.height**2
-    return float(np.log2(1.0 + power * sc.pc.eta / (d_sq * sc.sigma_b_sq)))
+    return float(_rates(power, x, sc))
 
 
 @dataclass(eq=False)

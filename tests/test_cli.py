@@ -85,6 +85,29 @@ def test_pattern_matches_golden(tmp_path, case):
     assert out.read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["swsp", "mwmp", "bench"])
+def test_single_subcommand_matches_golden(tmp_path, command):
+    # default config, no config file: each scheme's record must not move
+    out = tmp_path / "single.csv"
+    assert main([command, "--out", str(out)]) == 0
+    golden = Path(__file__).parent / "data" / f"golden_single_{command}.csv"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_converge_mwmp_matches_golden(tmp_path):
+    # the per-iteration best trace, averaged over three seeded swarms, at the
+    # default antennas and at five per waveguide; the golden holds both outputs
+    texts = []
+    for extra in ({}, {"pas_per_waveguide": 5}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"converge_inits": 3, "pso_iterations": 20, **extra}))
+        out = tmp_path / "trace.csv"
+        assert main(["converge", "--config", str(cfg), "--case", "mwmp", "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    golden = Path(__file__).parent / "data" / "golden_converge_mwmp.csv"
+    assert b"".join(texts) == golden.read_bytes()
+
+
 def test_converge_subcommand(tmp_path):
     cfg = _config_file(tmp_path)
     out = tmp_path / "trace.csv"
@@ -134,10 +157,12 @@ def test_error_on_unwritable_out(tmp_path, capsys):
     ("pattern", {"pattern_res_m": 0}, []),
     # a zero-power mwmp beam once gave an all-zero "normalized" map
     ("pattern", {"rho_w": 0}, ["--case", "mwmp"]),
+    # a negative half-width once printed a one-row map at -half, or died in linspace
+    ("pattern", {"pattern_y_halfwidth_m": -0.05}, []),
 ], ids=["delta_r_nan", "delta_r_inf", "p_max_inf", "vmax_nan", "n_wg_bool", "n_wg_fraction",
      "values_nan", "wg_stacked", "delta_p_negative", "delta_p_steps_overflow", "samples_k_zero",
      "carrier_underflow", "converge_grid_out_of_memory", "pattern_json", "pattern_res_zero",
-     "pattern_zero_power"])
+     "pattern_zero_power", "pattern_halfwidth_negative"])
 def test_invalid_numeric_inputs_rejected(tmp_path, capsys, command, keys, extra):
     # each of these once printed a nan row, an unsafe full-power rate or a
     # silently coerced setting with exit 0, or died with a traceback

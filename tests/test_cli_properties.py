@@ -1,9 +1,11 @@
 """Property test of the CLI input boundary: any flat config ends either in one
 `error: ...` line with exit 2, or in finite rows whose power lies in [0, P_max]
-and meets the warden gain budget at the sampled warden positions, or, for
-`pattern`, in the library's normalized beam map on the configured grid."""
+and meets the warden gain budget at the sampled warden positions (for `swsp`,
+`mwmp`, `bench`, `sweep` and `converge --case mwmp`), or, for `pattern`, in the
+library's normalized beam map on the configured grid."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passcovert import benchmarks, swsp
+from passcovert import benchmarks, harness, mwmp, swsp
 from passcovert.channel import beam_gain, beam_pattern_grid
 from passcovert.cli import _solved_beam, main
 from passcovert.config import config_from_dict
@@ -30,6 +32,8 @@ _VALUES = st.one_of(st.sampled_from(_ODD), st.integers(-2, 6), st.floats(-40.0, 
 _CONFIGS = st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=3)
 # a coarse grid and a short swarm keep each pattern example cheap
 _PATTERN_KEYS = {"pattern_res_m": 2.0, "pso_iterations": 5}
+# short swarms, one Monte-Carlo trial and two converge runs keep the solver examples cheap
+_SOLVER_KEYS = {"pso_iterations": 5, "trials": 1, "converge_inits": 2}
 
 
 def _run(tmp_path, args, keys):
@@ -64,6 +68,38 @@ def _sampled_gain(layout, w, sc, k) -> float:
     return float(beam_gain(layout, w, sc.willie_samples(k), sc.pc).max())
 
 
+def _check_solution(scheme, sc, config, seed, rate, power):
+    """Re-solve one scheme on ``sc``: the CLI's (rate, power) must match bit for
+    bit, and the power must meet the gain budget at the sampled warden positions."""
+    k = config.willie_samples_k
+    if scheme == "swsp":
+        sc = dataclasses.replace(sc, geom=config.geometry_swsp())
+        sol = swsp.solve(sc, config.delta_p())
+        assert (sol.rate, sol.p_opt) == (rate, power)
+        if not sol.feasible:
+            return
+        g_max = _sampled_gain(PinchLayout(sc.geom, np.array([sol.x_opt])),
+                              np.ones(1, dtype=complex), sc, k)
+    elif scheme == "mwmp":
+        sol = mwmp.solve(sc, config.pso_params(seed), k=k)
+        assert (sol.rate, sol.power) == (rate, power)
+        g_max = _sampled_gain(PinchLayout(sc.geom, sol.x_init), sol.w_tilde, sc, k)
+    else:
+        kind = benchmarks.BenchmarkKind(scheme)
+        res = benchmarks.evaluate(kind, sc, k=k)
+        assert (res.rate, res.power) == (rate, power)
+        if res.w_tilde is None:
+            return
+        if kind in (benchmarks.BenchmarkKind.MIMO_ZF, benchmarks.BenchmarkKind.MIMO_MRT):
+            n, h = sc.geom.n_wg, sc.geom.height
+            g_max = max(float(abs(benchmarks.ula_channel(s, n, h, sc.pc) @ res.w_tilde) ** 2)
+                        for s in sc.willie_samples(k))
+        else:
+            layout = benchmarks.heuristic_pass_layout(sc.r_b, sc.geom)
+            g_max = _sampled_gain(layout, res.w_tilde, sc, k)
+    assert _covert(power, g_max, sc)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(keys=_CONFIGS)
 def test_swsp_cli_rows_are_finite_and_covert(tmp_path_factory, keys):
@@ -72,13 +108,7 @@ def test_swsp_cli_rows_are_finite_and_covert(tmp_path_factory, keys):
         return
     config, rows = out
     [(rate, power)] = _rates_powers(config, rows)
-    sc = config.scenario("swsp")
-    sol = swsp.solve(sc, config.delta_p())
-    assert (sol.rate, sol.p_opt) == (rate, power)
-    if sol.feasible:
-        layout = PinchLayout(sc.geom, np.array([sol.x_opt]))
-        g_max = _sampled_gain(layout, np.ones(1, dtype=complex), sc, config.willie_samples_k)
-        assert _covert(power, g_max, sc)
+    _check_solution("swsp", config.scenario("swsp"), config, config.seed, rate, power)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -89,21 +119,58 @@ def test_bench_cli_rows_are_finite_and_covert(tmp_path_factory, keys):
         return
     config, rows = out
     rows = _rates_powers(config, rows)
-    sc, k = config.scenario("mwmp"), config.willie_samples_k
     assert len(rows) == len(benchmarks.BenchmarkKind)
     for kind, (rate, power) in zip(benchmarks.BenchmarkKind, rows):
-        res = benchmarks.evaluate(kind, sc, k=k)
-        assert (res.rate, res.power) == (rate, power)
-        if res.w_tilde is None:
-            continue
-        if kind in (benchmarks.BenchmarkKind.MIMO_ZF, benchmarks.BenchmarkKind.MIMO_MRT):
-            n, h = sc.geom.n_wg, sc.geom.height
-            g_max = max(float(abs(benchmarks.ula_channel(s, n, h, sc.pc) @ res.w_tilde) ** 2)
-                        for s in sc.willie_samples(k))
-        else:
-            layout = benchmarks.heuristic_pass_layout(sc.r_b, sc.geom)
-            g_max = _sampled_gain(layout, res.w_tilde, sc, k)
-        assert _covert(power, g_max, sc)
+        _check_solution(kind.value, config.scenario("mwmp"), config, config.seed, rate, power)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(keys=_CONFIGS)
+def test_mwmp_cli_rows_are_finite_and_covert(tmp_path_factory, keys):
+    out = _run(tmp_path_factory.mktemp("mwmp"), ["mwmp"], {**keys, **_SOLVER_KEYS})
+    if out is None:
+        return
+    config, rows = out
+    [(rate, power)] = _rates_powers(config, rows)
+    _check_solution("mwmp", config.scenario("mwmp"), config, config.seed, rate, power)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+# values in [0, 1] are valid for every sweep variable; the rest are mostly not
+@given(keys=_CONFIGS, variable=st.sampled_from(harness.SWEEP_VARIABLES),
+       value=st.one_of(st.floats(0.0, 1.0), _VALUES))
+def test_sweep_cli_rows_are_finite_and_covert(tmp_path_factory, keys, variable, value):
+    args = ["sweep", "--variable", variable, f"--values={value}"]  # "-1" is no option
+    out = _run(tmp_path_factory.mktemp("sweep"), args, {**keys, **_SOLVER_KEYS})
+    if out is None:
+        return
+    config, rows = out
+    assert len(rows) == len(harness.SCHEMES)
+    scenarios = harness.sample_scenarios(config)
+    for row, (rate, power) in zip(rows, _rates_powers(config, rows)):
+        sc = harness._apply_sweep_value(scenarios[int(row[3])], variable, float(row[2]))
+        _check_solution(row[0], sc, config, int(row[6]), rate, power)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(keys=_CONFIGS)
+def test_converge_mwmp_cli_rows_are_finite_and_covert(tmp_path_factory, keys):
+    args = ["converge", "--case", "mwmp"]
+    out = _run(tmp_path_factory.mktemp("converge"), args, {**keys, **_SOLVER_KEYS})
+    if out is None:
+        return
+    config, rows = out
+    rates = [rate for rate, _ in _rates_powers(config, rows)]
+    # the rows are the mean best-so-far trace of seeded solves, each of which
+    # returns a covert solution
+    sc, traces = config.scenario("mwmp"), []
+    for i in range(config.converge_inits):
+        seed = harness.trial_seed(config.seed, i)
+        sol = mwmp.solve(sc, config.pso_params(seed), k=config.willie_samples_k)
+        _check_solution("mwmp", sc, config, seed, sol.rate, sol.power)
+        traces.append(sol.trace)
+    assert rates == np.mean(np.stack(traces), axis=0).tolist()
+    assert all(b >= a for a, b in zip(rates, rates[1:]))
 
 
 @pytest.mark.parametrize("case", ["swsp", "mwmp"])

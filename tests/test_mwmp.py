@@ -36,7 +36,9 @@ def _optimal_power(layout, w_tilde, samples, gamma_w, p_max, pc):
 
 def _fitness(pos, w, sc):
     """Swarm fitness of one (normalized position, unit weight) pair at k = 1."""
-    return float(mwmp._eval_layouts(pos[None], w, mwmp._context(sc, 1))[0])
+    ctx = mwmp._context(sc, 1)
+    gains = np.abs(mwmp._channels(pos[None], ctx) @ w) ** 2
+    return float(mwmp._fitness(gains, ctx)[0])
 
 
 def test_clamp_ps():
@@ -133,16 +135,16 @@ def test_step_stationary_when_converged():
     rng = np.random.default_rng(params.seed)
     swarms = init_swarms(2, params, rng)
     # collapse both swarms onto their global bests with zero velocity
-    swarms.ps_pos[:] = swarms.ps_glo_pos
-    swarms.ps_best_pos[:] = swarms.ps_glo_pos
-    swarms.bs_pos[:] = swarms.bs_glo_pos
-    swarms.bs_best_pos[:] = swarms.bs_glo_pos
-    before_ps = swarms.ps_pos.copy()
-    before_bs = swarms.bs_pos.copy()
+    swarms.ps.pos[:] = swarms.ps.glo_pos
+    swarms.ps.best_pos[:] = swarms.ps.glo_pos
+    swarms.bs.pos[:] = swarms.bs.glo_pos
+    swarms.bs.best_pos[:] = swarms.bs.glo_pos
+    before_ps = swarms.ps.pos.copy()
+    before_bs = swarms.bs.pos.copy()
     step(swarms, mwmp._context(sc, 1), params)
     # both attraction terms vanish, so nothing moves
-    np.testing.assert_allclose(swarms.ps_pos, before_ps, atol=1e-15)
-    np.testing.assert_allclose(swarms.bs_pos, before_bs, atol=1e-12)
+    np.testing.assert_allclose(swarms.ps.pos, before_ps, atol=1e-15)
+    np.testing.assert_allclose(swarms.bs.pos, before_bs, atol=1e-12)
 
 
 def test_step_preserves_constraints_and_caps():
@@ -153,12 +155,12 @@ def test_step_preserves_constraints_and_caps():
     ctx = mwmp._context(sc, 1)
     for _ in range(25):
         step(swarms, ctx, params)
-        assert np.all(swarms.ps_pos >= 0.0) and np.all(swarms.ps_pos <= 1.0)
-        np.testing.assert_allclose(np.linalg.norm(swarms.bs_pos, axis=1), 1.0,
+        assert np.all(swarms.ps.pos >= 0.0) and np.all(swarms.ps.pos <= 1.0)
+        np.testing.assert_allclose(np.linalg.norm(swarms.bs.pos, axis=1), 1.0,
                                    atol=1e-12)
-        assert np.all(np.abs(swarms.ps_vel) <= params.v_max + 1e-15)
-        assert np.all(np.abs(swarms.bs_vel.real) <= params.v_max + 1e-15)
-        assert np.all(np.abs(swarms.bs_vel.imag) <= params.v_max + 1e-15)
+        assert np.all(np.abs(swarms.ps.vel) <= params.v_max + 1e-15)
+        assert np.all(np.abs(swarms.bs.vel.real) <= params.v_max + 1e-15)
+        assert np.all(np.abs(swarms.bs.vel.imag) <= params.v_max + 1e-15)
 
 
 def test_trace_monotone_and_deterministic():
@@ -214,7 +216,7 @@ def test_cached_beamforming_channel_tracks_position_global_best():
     swarms = init_swarms(3, params, np.random.default_rng(params.seed))
     for _ in range(25):
         step(swarms, ctx, params)
-        pa_x = (swarms.ps_glo_pos[None, :, None] * ctx.usable_len
+        pa_x = (swarms.ps.glo_pos[None, :, None] * ctx.usable_len
                 + ctx.pa_offsets[None, None, :])
         fresh = mwmp._effective_batch(pa_x, ctx.wg_y, ctx.height, ctx.receivers, ctx.pc)[0]
         np.testing.assert_array_equal(swarms.bs_channel, fresh)
