@@ -37,12 +37,18 @@ def ula_positions(n: int, height: float, pc: PhysConstants) -> np.ndarray:
     return pos
 
 
+def ula_channels(receivers: np.ndarray, n: int, height: float,
+                 pc: PhysConstants) -> np.ndarray:
+    """Spherical-wave LoS coefficients from each array element to each of the
+    (K, 3) ``receivers``, shape (K, n)."""
+    diff = receivers[:, None, :] - ula_positions(n, height, pc)
+    dist = np.linalg.norm(diff, axis=2)
+    return np.sqrt(pc.eta) * np.exp(-1j * pc.k_c * dist) / dist
+
+
 def ula_channel(r, n: int, height: float, pc: PhysConstants) -> np.ndarray:
     """Spherical-wave LoS coefficients from each array element to receiver ``r``."""
-    r = as_vec3(r)
-    diff = r[None, :] - ula_positions(n, height, pc)
-    dist = np.linalg.norm(diff, axis=1)
-    return np.sqrt(pc.eta) * np.exp(-1j * pc.k_c * dist) / dist
+    return ula_channels(as_vec3(r)[None, :], n, height, pc)[0]
 
 
 def mrt_weights(h_eff) -> np.ndarray:
@@ -77,7 +83,7 @@ def zf_weights(h_b_eff, h_w_eff) -> np.ndarray:
 def heuristic_pass_layout(r_b, geom) -> PinchLayout:
     """Center each waveguide's antenna run on Bob's x coordinate."""
     x_b = as_vec3(r_b)[0]
-    x0 = np.clip(x_b - geom.pa_spacing * (geom.m_pa - 1) / 2.0, 0.0, geom.usable_length)
+    x0 = min(max(x_b - geom.pa_spacing * (geom.m_pa - 1) / 2.0, 0.0), geom.usable_length)
     return PinchLayout(geom, np.full(geom.n_wg, x0))
 
 
@@ -93,18 +99,15 @@ def evaluate(kind: BenchmarkKind, sc: Scenario, k: int = 1) -> BenchmarkResult:
     """Rate of one reference scheme under the same sampled power control as the
     proposed solvers: ZF nulls the nominal warden position, MRT matches Bob,
     and the power saturates the gain budget over the warden sample set."""
-    samples = sc.willie_samples(k)
+    receivers = np.vstack([sc.r_b[None, :], sc.willie_samples(k)])
     if kind in (BenchmarkKind.MIMO_ZF, BenchmarkKind.MIMO_MRT):
-        n = sc.geom.n_wg
-        h_b = ula_channel(sc.r_b, n, sc.geom.height, sc.pc)
-        h_w = ula_channel(sc.willie.center, n, sc.geom.height, sc.pc)
-        sample_ch = np.stack([ula_channel(s, n, sc.geom.height, sc.pc) for s in samples])
+        eff = ula_channels(receivers, sc.geom.n_wg, sc.geom.height, sc.pc)
     else:
         layout = heuristic_pass_layout(sc.r_b, sc.geom)
-        eff = effective_channel_at(layout, np.vstack([sc.r_b[None, :], samples]), sc.pc)
-        h_b = eff[0]
-        h_w = eff[1]  # sample set starts at the nominal center
-        sample_ch = eff[1:]
+        eff = effective_channel_at(layout, receivers, sc.pc)
+    h_b = eff[0]
+    h_w = eff[1]  # sample set starts at the nominal center
+    sample_ch = eff[1:]
 
     try:
         if kind in (BenchmarkKind.MIMO_ZF, BenchmarkKind.PASS_ZF):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from collections.abc import Iterable, Iterator
 
@@ -20,6 +21,14 @@ from .geometry import BeamVector, PinchLayout
 _SINGLE_SCHEMES = {"swsp": ("swsp",), "mwmp": ("mwmp",), "bench": harness.SCHEMES[2:]}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise, so that ``main`` reports
+    them in its one ``error: ...`` line and returns 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="flat JSON config file")
     parser.add_argument("--seed", type=int, help="override the config seed")
@@ -27,8 +36,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.cache  # built once per process, on first use rather than at import
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="passcovert",
         description="Covert-rate solvers and benchmarks for pinching-antenna systems.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -45,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--variable", required=True, choices=harness.SWEEP_VARIABLES)
     p.add_argument("--values", required=True,
-                   help="comma-separated sweep values, e.g. 0.8,0.85,0.9")
+                   help="comma-separated sweep values, e.g. 0.8,0.85,0.9; pass a "
+                        "list that starts with a negative number as --values=-10,-5")
     p.add_argument("--schemes", default=",".join(harness.SCHEMES),
                    help="comma-separated scheme names")
 
@@ -129,8 +140,8 @@ def _pattern_csv(config: ExperimentConfig, case: str) -> Iterator[str]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _load(args)
         if args.command in _SINGLE_SCHEMES:
             # swsp never builds the multi-waveguide geometry, so its checks

@@ -129,14 +129,20 @@ def covert_power_rate(g_bob, g_max, gamma_w: float, p_max: float, sigma_b_sq: fl
     gain P * g_max stays within the budget (P = p_max where g_max = 0), and
     rate = log2(g_bob / sigma_b_sq * P + 1). Scalars and arrays give the same bits.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        power = np.where(g_max == 0.0, p_max, np.minimum(np.divide(gamma_w, g_max), p_max))
+    # gamma_w / g_max, and inf where g_max = 0, without a warning to silence
+    ratio = np.divide(gamma_w, g_max, out=np.full(np.shape(g_max), np.inf),
+                      where=g_max != 0.0)
+    power = np.minimum(ratio, p_max)
     return power, np.log2(g_bob / sigma_b_sq * power + 1.0)
 
 
 def willie_gain(layout: PinchLayout, beam: BeamVector, r_w, pc: PhysConstants) -> float:
     """Beam gain |channel(r_w) . w|^2 at a candidate warden position."""
     return float(beam_gain(layout, beam.weights, as_vec3(r_w)[None, :], pc)[0])
+
+
+# +x, -x, +y, -y unit offsets of one sampling ring
+_CROSS = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
 
 
 def sample_region(wu: WillieUncertainty, k: int = 1) -> np.ndarray:
@@ -147,12 +153,9 @@ def sample_region(wu: WillieUncertainty, k: int = 1) -> np.ndarray:
     """
     if k < 1:
         raise ValueError("need at least one sampling ring")
-    points = [wu.center]
-    for j in range(1, k + 1):
-        step = j * wu.radius / k
-        for offset in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            points.append(wu.center + np.array([offset[0], offset[1], 0.0]))
-    return np.array(points)
+    steps = np.arange(1, k + 1) * wu.radius / k
+    offsets = steps[:, None, None] * _CROSS  # (k, 4, 3)
+    return np.vstack([wu.center, (wu.center + offsets).reshape(-1, 3)])
 
 
 def worst_case_gain(layout: PinchLayout, w_tilde, samples, pc: PhysConstants) -> float:

@@ -111,12 +111,13 @@ def run_sweep(config: ExperimentConfig, variable: str, values,
         if s not in SCHEMES:
             raise ValueError(f"unknown scheme {s!r}; valid schemes: " + ", ".join(SCHEMES))
     scenarios = sample_scenarios(config)
+    seeds = [trial_seed(config.seed, trial) for trial in range(len(scenarios))]
     records = []
     for value in values:
+        # one scenario per trial and value, shared by every scheme
+        swept = [_apply_sweep_value(base, variable, value) for base in scenarios]
         for scheme in schemes:
-            for trial, base in enumerate(scenarios):
-                sc = _apply_sweep_value(base, variable, value)
-                seed = trial_seed(config.seed, trial)
+            for trial, (sc, seed) in enumerate(zip(swept, seeds)):
                 rate, power = solve_scheme(scheme, sc, config, seed)
                 records.append(SweepRecord(scheme, variable, value, trial,
                                            rate, power, seed))
@@ -141,6 +142,8 @@ def run_convergence(config: ExperimentConfig, case: str) -> list[SweepRecord]:
         sc = config.scenario("swsp")
         trace = swsp.rate_trace(sc, config.converge_delta_p())
         powers = config.converge_delta_p() * np.arange(1, trace.size + 1)
+        if trace.size == 0:  # no grid power is covert or within the budget
+            trace, powers = np.zeros(1), np.zeros(1)
         return [SweepRecord("swsp", "iteration", float(i + 1), -1, float(trace[i]),
                             float(powers[i]), config.seed)
                 for i in range(trace.size)]

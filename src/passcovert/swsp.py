@@ -85,14 +85,17 @@ def _positions_for(powers: np.ndarray, sc: Scenario) -> np.ndarray:
     exists, x_lo, x_hi, _, _ = _zone_bounds(powers, sc)
     length = sc.geom.length
     x_b = sc.r_b[0]
-    clamped = np.clip(x_b, 0.0, length)
+    # min/max in place of np.clip, whose dispatch costs more than the work at
+    # these sizes; the argument orders give np.clip's signed zeros for x_b = -0
+    clamped = min(max(x_b, 0.0), length)
 
     blocking = exists & (x_hi > 0.0) & (x_lo < length)
     has_left = blocking & (x_lo >= 0.0)
     has_right = blocking & (x_hi <= length)
 
-    cand_left = np.clip(x_b, 0.0, np.where(has_left, x_lo, np.nan))
-    cand_right = np.clip(x_b, np.where(has_right, x_hi, np.nan), length)
+    # a candidate without its side is never chosen: its distance is inf below
+    cand_left = np.minimum(max(0.0, x_b), x_lo)
+    cand_right = np.minimum(np.maximum(x_b, x_hi), length)
     dist_left = np.where(has_left, np.abs(cand_left - x_b), np.inf)
     dist_right = np.where(has_right, np.abs(cand_right - x_b), np.inf)
     # ties break toward the left candidate, i.e. the smaller coordinate
@@ -242,8 +245,7 @@ def solve(sc: Scenario, delta_p: float) -> SwspSolution:
 
 
 def rate_trace(sc: Scenario, delta_p: float) -> np.ndarray:
-    """Best-rate-so-far after each power step of the 1-D search."""
+    """Best-rate-so-far after each power step of the 1-D search; empty when
+    no grid power is feasible."""
     _, _, rates = _search(sc, delta_p)
-    if rates.size == 0:
-        return np.zeros(1)
     return np.maximum.accumulate(rates)

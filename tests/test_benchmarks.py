@@ -10,7 +10,7 @@ from passcovert import (BeamVector, CovertnessSpec, ExperimentConfig, NoiseUncer
                         willie_gain)
 from passcovert.benchmarks import (BenchmarkKind, DegenerateChannelError, evaluate,
                                    heuristic_pass_layout, mrt_weights, ula_channel,
-                                   ula_positions, zf_weights)
+                                   ula_channels, ula_positions, zf_weights)
 from passcovert.geometry import PinchLayout
 
 
@@ -45,6 +45,23 @@ def test_ula_channel_matches_los(pc28):
     assert single[0] == pytest.approx(los_coeff((0.0, 0.0, 3.0), r, pc28), rel=1e-12)
     dists = np.linalg.norm(np.asarray(r) - ula_positions(4, 3.0, pc28), axis=1)
     np.testing.assert_allclose(np.abs(ch), np.sqrt(pc28.eta) / dists, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+def test_ula_channels_rows_match_single_receiver(pc28, rng, n):
+    receivers = np.column_stack([rng.uniform(0.0, 25.0, 9), rng.uniform(-7.5, 7.5, 9),
+                                 np.zeros(9)])
+    batch = ula_channels(receivers, n, 3.0, pc28)
+    assert batch.shape == (9, n)
+    pos = ula_positions(n, 3.0, pc28)
+    for r, row in zip(receivers, batch):
+        single = ula_channel(r, n, 3.0, pc28)
+        assert single.shape == (n,)
+        assert row.tobytes() == single.tobytes()
+        # the per-receiver formula that evaluate once called 2 + |S| times
+        dist = np.linalg.norm(r[None, :] - pos, axis=1)
+        assert row.tobytes() == (np.sqrt(pc28.eta) * np.exp(-1j * pc28.k_c * dist)
+                                 / dist).tobytes()
 
 
 def test_mrt_weights(rng):

@@ -129,6 +129,41 @@ def test_error_reporting(tmp_path, capsys):
     assert err_lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("extra", [
+    # argparse reads a list that starts with a negative number as an option
+    ["--variable", "power_budget", "--values", "-10,-5"],
+    ["--variable", "no_such_variable", "--values", "0.5"],
+], ids=["values_negative_unattached", "variable_unknown"])
+def test_usage_error_reporting(tmp_path, capsys, extra):
+    # usage errors once printed argparse's usage block and raised SystemExit
+    code = main(["sweep", "--config", _config_file(tmp_path), "--schemes", "swsp"] + extra)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    err_lines = [ln for ln in captured.err.splitlines() if ln]
+    assert len(err_lines) == 1 and err_lines[0].startswith("error: argument --")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    assert "--values=-10,-5" in capsys.readouterr().out
+
+
+def test_sweep_closed_form_matches_golden(tmp_path):
+    # five trials, two warden rings (K = 10 receivers) and a negative dBm budget
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 5, "willie_samples_k": 2, "num_waveguides": 2,
+                               "seed": 7}))
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--config", str(cfg), "--variable", "power_budget",
+                 "--values=-5,10,30", "--schemes", "swsp,mimo_zf,mimo_mrt,pass_zf,pass_mrt",
+                 "--format", "json", "--out", str(out)]) == 0
+    golden = Path(__file__).parent / "data" / "golden_sweep_closed_form.json"
+    assert out.read_bytes() == golden.read_bytes()
+
+
 def test_error_on_unwritable_out(tmp_path, capsys):
     cfg = _config_file(tmp_path)
     code = main(["swsp", "--config", cfg, "--out", str(tmp_path / "no" / "dir.csv")])

@@ -1,8 +1,9 @@
 """Property test of the CLI input boundary: any flat config ends either in one
 `error: ...` line with exit 2, or in finite rows whose power lies in [0, P_max]
 and meets the warden gain budget at the sampled warden positions (for `swsp`,
-`mwmp`, `bench`, `sweep` and `converge --case mwmp`), or, for `pattern`, in the
-library's normalized beam map on the configured grid."""
+`mwmp`, `bench`, `sweep` and `converge --case mwmp`), or in a finite,
+non-decreasing trace whose powers lie in [0, P_max] (`converge --case swsp`),
+or, for `pattern`, in the library's normalized beam map on the configured grid."""
 
 import contextlib
 import dataclasses
@@ -34,6 +35,8 @@ _CONFIGS = st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=3)
 _PATTERN_KEYS = {"pattern_res_m": 2.0, "pso_iterations": 5}
 # short swarms, one Monte-Carlo trial and two converge runs keep the solver examples cheap
 _SOLVER_KEYS = {"pso_iterations": 5, "trials": 1, "converge_inits": 2}
+# a coarse power step keeps each swsp trace to at most a few hundred rows
+_TRACE_KEYS = {"converge_delta_p_watts": 0.05}
 
 
 def _run(tmp_path, args, keys):
@@ -171,6 +174,20 @@ def test_converge_mwmp_cli_rows_are_finite_and_covert(tmp_path_factory, keys):
         traces.append(sol.trace)
     assert rates == np.mean(np.stack(traces), axis=0).tolist()
     assert all(b >= a for a, b in zip(rates, rates[1:]))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(keys=_CONFIGS)
+def test_converge_swsp_cli_rows_are_finite_and_monotone(tmp_path_factory, keys):
+    args = ["converge", "--case", "swsp"]
+    out = _run(tmp_path_factory.mktemp("converge_swsp"), args, {**keys, **_TRACE_KEYS})
+    if out is None:
+        return
+    config, rows = out
+    rates = [rate for rate, _ in _rates_powers(config, rows)]
+    assert all(b >= a for a, b in zip(rates, rates[1:]))
+    # the trace ends at the solver's answer on the same power grid
+    assert rates[-1] == swsp.solve(config.scenario("swsp"), config.converge_delta_p()).rate
 
 
 @pytest.mark.parametrize("case", ["swsp", "mwmp"])

@@ -141,6 +141,15 @@ def test_run_convergence_swsp():
     assert rows[0].p_opt == pytest.approx(cfg.converge_delta_p())
 
 
+@pytest.mark.parametrize("over", [{"converge_delta_p_watts": 2.0}, {"rho_w": 0.0}],
+                         ids=["step_above_budget", "rho_zero"])
+def test_run_convergence_swsp_without_feasible_power(over):
+    # a trace that visits no power once reported the first grid power, even
+    # one above P_max, next to its zero rate
+    [row] = run_convergence(_small_config(**over), "swsp")
+    assert (row.covert_rate, row.p_opt) == (0.0, 0.0)
+
+
 def test_run_convergence_mwmp():
     cfg = _small_config(pso_iterations=15)
     rows = run_convergence(cfg, "mwmp")
