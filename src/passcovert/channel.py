@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .constants import PhysConstants
@@ -43,41 +45,95 @@ def freespace_vector(x_pa, wg_y: float, r, geom, pc: PhysConstants) -> np.ndarra
     return np.sqrt(pc.eta) * np.exp(-1j * pc.k_c * dist) / dist
 
 
+def _receiver_terms(receivers: np.ndarray, wg_y: np.ndarray, height: float):
+    """Receiver x (K, 1, 1, 1), squared y offset of each receiver to each
+    waveguide (K, 1, N, 1) and squared height offset (K, 1, 1, 1)."""
+    dy = receivers[:, 1, None] - wg_y
+    dz = receivers[:, 2:, None, None] - height
+    return receivers[:, :1, None, None], (dy * dy)[:, None, :, None], dz * dz
+
+
+class ReceiverTerms:
+    """The receiver side of the channel kernel for one receiver set and one
+    waveguide geometry, and the work arrays of the kernel calls that use it.
+
+    Pass it to every kernel call on those receivers: a call then skips the
+    receiver arithmetic and reuses the work arrays of the last call on the
+    same number of layouts, whose y terms are already spread over the block.
+    """
+
+    def __init__(self, receivers: np.ndarray, wg_y: np.ndarray, height: float):
+        self.rx, self.dy2, self.dz2 = _receiver_terms(receivers, wg_y, height)
+        self._work = {}  # (J, N, M) -> (dist, dy2, arg, phasor), each (K, J, N, M)
+
+    def work(self, j: int, n: int, m: int):
+        """Work arrays for a call on j layouts. ``arg``, the argument of the
+        exp, is kept apart from ``phasor``, where the exp goes, so that its
+        real part stays zero from call to call."""
+        arrays = self._work.get((j, n, m))
+        if arrays is None:
+            shape = (len(self.rx), j, n, m)
+            arrays = self._work[(j, n, m)] = (np.empty(shape), np.broadcast_to(self.dy2, shape).copy(),
+                                              np.zeros(shape, dtype=complex),
+                                              np.empty(shape, dtype=complex))
+        return arrays
+
+
 def _effective_batch(pa_x: np.ndarray, wg_y: np.ndarray, height: float,
-                     receivers: np.ndarray, pc: PhysConstants) -> np.ndarray:
+                     receivers: np.ndarray, pc: PhysConstants,
+                     terms: ReceiverTerms | None = None) -> np.ndarray:
     """Effective channels h^H(X) G(X) for a batch of layouts and receivers.
 
     pa_x: (..., N, M) antenna x coordinates; receivers: (K, 3).
     Returns (..., K, N) where entry n is sum_m conj(h_nm) * g_m, so the received
     amplitude is the plain dot product with the weight vector.
 
-    Each step works in place on one distance and one phasor array but keeps
-    the operations and their order of sqrt(eta/M) * sum_m exp(j phase) / dist,
-    so the result is bit-identical to that broadcast formula.
+    ``terms``, the :class:`ReceiverTerms` of ``receivers``, ``wg_y`` and
+    ``height``, spares a caller that makes many calls on one receiver set the
+    receiver arithmetic and the work-array allocations of each call. Without
+    it a call allocates only what it needs and runs the exp in place.
+
+    The work runs receivers first, in (K, J, N, M) blocks with J the number of
+    layouts, and keeps the operations and their order of
+    sqrt(eta/M) * sum_m exp(j phase) / dist, so the result is bit-identical to
+    that broadcast formula. Dividing by dist is a multiply by 1/dist: numpy
+    divides a complex by a real d as by d + 0j, which scales both parts by
+    the same 1/d.
     """
-    px = pa_x[..., None, :, :]  # (..., 1, N, M)
-    dist = receivers[:, 0][:, None, None] - px  # (..., K, N, M)
+    *lead, n, m = pa_x.shape
+    j = math.prod(lead)
+    px = pa_x.reshape(j, n, m)
+    if terms is None:
+        rx, dy2, dz2 = _receiver_terms(receivers, wg_y, height)
+        dist = rx - px
+        arg = phasor = np.zeros(dist.shape, dtype=complex)
+    else:
+        rx, dz2 = terms.rx, terms.dz2
+        dist, dy2, arg, phasor = terms.work(j, n, m)
+        np.subtract(rx, px, out=dist)
     dist *= dist
-    dy = receivers[:, 1][:, None, None] - wg_y[None, :, None]
-    dist += dy * dy
-    dz = receivers[:, 2][:, None, None] - height
-    dist += dz * dz
+    dist += dy2
+    dist += dz2
     np.sqrt(dist, out=dist)
-    phasor = np.zeros(dist.shape, dtype=complex)
-    phase = phasor.imag
+    phase = arg.imag
     np.multiply(pc.k_c, dist, out=phase)
     phase -= pc.k_g * px
-    np.exp(phasor, out=phasor)
-    phasor /= dist
-    m = pa_x.shape[-1]
-    if m > 3:
-        out = np.sum(phasor, axis=-1)
+    np.exp(arg, out=phasor)
+    np.reciprocal(dist, out=dist)
+    phasor *= dist
+    # the result is layouts first and contiguous, as the broadcast formula
+    # returns it, so a following ``@`` hands BLAS the same operand
+    out = np.empty((j, len(dist), n), dtype=complex)
+    total = out.transpose(1, 0, 2)  # receivers first, like phasor
+    scale = math.sqrt(pc.eta / m)
+    if m == 1 or m > 3:
+        np.multiply(phasor[..., 0] if m == 1 else np.sum(phasor, axis=-1), scale, out=total)
     else:  # np.sum adds up to three terms left to right; slice adds match it, faster
-        out = phasor[..., 0] if m == 1 else phasor[..., 0] + phasor[..., 1]
+        np.add(phasor[..., 0], phasor[..., 1], out=total)
         if m == 3:
-            out += phasor[..., 2]
-    out *= np.sqrt(pc.eta / m)
-    return out
+            total += phasor[..., 2]
+        out *= scale
+    return out.reshape(*lead, len(dist), n)
 
 
 def effective_channel_at(layout: PinchLayout, receivers, pc: PhysConstants) -> np.ndarray:

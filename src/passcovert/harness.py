@@ -104,9 +104,13 @@ def run_sweep(config: ExperimentConfig, variable: str, values,
         raise ValueError(f"unknown sweep variable {variable!r}; valid variables: "
                          + ", ".join(SWEEP_VARIABLES))
     values = [float(v) for v in values]
+    if not values:
+        raise ValueError("need at least one sweep value")
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"sweep values must be finite numbers, got {values}")
     schemes = tuple(schemes)
+    if not schemes:
+        raise ValueError("need at least one scheme; valid schemes: " + ", ".join(SCHEMES))
     for s in schemes:
         if s not in SCHEMES:
             raise ValueError(f"unknown scheme {s!r}; valid schemes: " + ", ".join(SCHEMES))
@@ -148,6 +152,8 @@ def run_convergence(config: ExperimentConfig, case: str) -> list[SweepRecord]:
                             float(powers[i]), config.seed)
                 for i in range(trace.size)]
     if case == "mwmp":
+        if config.converge_inits < 1:
+            raise ValueError(f"converge_inits must be at least 1, got {config.converge_inits}")
         sc = config.scenario("mwmp")
         traces = []
         for i in range(config.converge_inits):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _effective_batch, beam_gain
+from .channel import ReceiverTerms, _effective_batch, beam_gain
 from .constants import PhysConstants
 from .detection import covert_power_rate, worst_case_gain
 from .geometry import PinchLayout
@@ -70,20 +70,23 @@ class _EvalContext:
     gamma_w: float
     p_max: float
     pc: PhysConstants
+    terms: ReceiverTerms  # the kernel's receiver side, built once per solve
 
 
 def _context(sc: Scenario, k: int) -> _EvalContext:
     receivers = np.vstack([sc.r_b[None, :], sc.willie_samples(k)])
     geom = sc.geom
-    return _EvalContext(receivers, geom.wg_y_array, geom.height,
+    wg_y = geom.wg_y_array
+    return _EvalContext(receivers, wg_y, geom.height,
                         np.arange(geom.m_pa) * geom.pa_spacing, geom.usable_length,
-                        sc.sigma_b_sq, sc.gain_budget(), sc.p_max, sc.pc)
+                        sc.sigma_b_sq, sc.gain_budget(), sc.p_max, sc.pc,
+                        ReceiverTerms(receivers, wg_y, geom.height))
 
 
 def _channels(ps_pos: np.ndarray, ctx: _EvalContext) -> np.ndarray:
     """Effective channels (J, 1 + S, N) of a batch (J, N) of normalized layouts."""
     pa_x = ps_pos[:, :, None] * ctx.usable_len + ctx.pa_offsets[None, None, :]
-    return _effective_batch(pa_x, ctx.wg_y, ctx.height, ctx.receivers, ctx.pc)
+    return _effective_batch(pa_x, ctx.wg_y, ctx.height, ctx.receivers, ctx.pc, ctx.terms)
 
 
 def _fitness(gains: np.ndarray, ctx: _EvalContext) -> np.ndarray:
@@ -101,47 +104,59 @@ def _clip(x: np.ndarray, lo: float, hi: float) -> None:
 @dataclass(eq=False)
 class Swarm:
     """One particle swarm (Kennedy & Eberhart 1995): positions, velocities and the
-    personal and global bests, real or complex alike."""
+    personal and global bests, real or complex alike.
+
+    ``bests`` stacks the two attractors of every particle, its personal best
+    and the global best, so that one subtraction and one multiply give both
+    pulls of the velocity update.
+    """
 
     pos: np.ndarray
     vel: np.ndarray
-    best_pos: np.ndarray
+    bests: np.ndarray  # (2, *pos.shape): personal bests, then the global best in every row
     best_score: np.ndarray
-    glo_pos: np.ndarray
     glo_score: float = -np.inf
 
     @classmethod
     def start(cls, pos: np.ndarray, glo_pos: np.ndarray) -> Swarm:
         """Zero velocities; every personal best is its start position at score -inf."""
-        return cls(pos, np.zeros_like(pos), pos.copy(), np.full(len(pos), -np.inf), glo_pos)
+        bests = np.stack([pos, np.broadcast_to(glo_pos, pos.shape)])
+        return cls(pos, np.zeros_like(pos), bests, np.full(len(pos), -np.inf))
+
+    @property
+    def best_pos(self) -> np.ndarray:
+        return self.bests[0]
+
+    @property
+    def glo_pos(self) -> np.ndarray:
+        return self.bests[1, 0]
 
     def advance(self, scores: np.ndarray, rng: np.random.Generator, inertia: float,
                 cognitive: float, social: float, v_max: float) -> bool:
         """Take in the scores of ``pos`` and move every particle; returns whether
         the global best moved.
 
-        Draws theta1 then theta2, one factor per coordinate, and updates the
-        velocity in the float order of
+        Draws theta1 then theta2, one factor per coordinate, in one call (the
+        same stream as two), and updates the velocity in the float order of
         inertia * vel + cognitive * theta1 * (best - pos) + social * theta2 * (glo - pos).
         The cap applies to real and imaginary parts independently.
         """
         improved = scores > self.best_score
-        self.best_score[improved] = scores[improved]
-        self.best_pos[improved] = self.pos[improved]
-        best = int(np.argmax(self.best_score))
+        np.copyto(self.best_score, scores, where=improved)
+        np.copyto(self.bests[0], self.pos, where=improved[:, None])
+        best = int(self.best_score.argmax())
         moved = bool(self.best_score[best] > self.glo_score)
         if moved:
             self.glo_score = float(self.best_score[best])
-            self.glo_pos = self.best_pos[best].copy()
-        theta1 = rng.random(self.pos.shape)
-        theta2 = rng.random(self.pos.shape)
+            self.bests[1] = self.bests[0, best]
+        theta = rng.random(self.bests.shape)
+        theta[0] *= cognitive
+        theta[1] *= social
+        pull = self.bests - self.pos
+        pull *= theta
         self.vel *= inertia
-        term = self.best_pos - self.pos
-        term *= cognitive * theta1
-        self.vel += term
-        term = self.glo_pos - self.pos
-        term *= social * theta2
-        self.vel += term
+        self.vel += pull[0]
+        self.vel += pull[1]
         _clip(self.vel.view(float), -v_max, v_max)
         self.pos += self.vel
         return moved
@@ -174,7 +189,7 @@ def _renormalize_rows(pos: np.ndarray, rng: np.random.Generator) -> None:
     """Unit-normalize each particle in place; a zero particle is re-randomized."""
     norms = np.linalg.norm(pos, axis=1, keepdims=True)
     zero = norms[:, 0] == 0.0
-    if np.any(zero):
+    if zero.any():
         pos[zero] = _random_unit_rows(rng, int(zero.sum()), pos.shape[1])
         norms = np.linalg.norm(pos, axis=1, keepdims=True)
     pos /= norms

@@ -6,7 +6,8 @@ import pytest
 from passcovert import (BeamVector, PassGeometry, PinchLayout, derive_constants,
                         effective_channel, effective_channel_at, freespace_vector,
                         inwg_phase, inwg_vector, los_coeff, snr_bob)
-from passcovert.channel import GRID_BLOCK_CELLS, _effective_batch, beam_gain, beam_pattern_grid
+from passcovert.channel import (GRID_BLOCK_CELLS, ReceiverTerms, _effective_batch, beam_gain,
+                                beam_pattern_grid)
 
 
 def test_derive_constants_28ghz(pc28):
@@ -280,7 +281,47 @@ def test_effective_batch_bit_identical_to_broadcast_formula(pc28, rng, layouts, 
     pa_x = rng.uniform(0.0, 25.0, layouts + (n, m))
     wg_y = np.linspace(-1.5 * (n - 1), 1.5 * (n - 1), n)
     rcv = np.column_stack([rng.uniform(0, 25, k), rng.uniform(-8, 8, k), np.zeros(k)])
-    got = _effective_batch(pa_x, wg_y, 3.0, rcv, pc28)
     want = _broadcast_effective_batch(pa_x, wg_y, 3.0, rcv, pc28)
-    assert got.shape == want.shape == layouts + (k, n)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    terms = ReceiverTerms(rcv, wg_y, 3.0)
+    for got in (_effective_batch(pa_x, wg_y, 3.0, rcv, pc28),
+                _effective_batch(pa_x, wg_y, 3.0, rcv, pc28, terms)):
+        assert got.shape == want.shape == layouts + (k, n)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _swarm_layouts(rng, j, n, m, length=25.0, spacing=0.0054):
+    """Antenna x of j swarm layouts whose normalized first-antenna coordinates
+    include the clip bounds 0 and 1 exactly, as in a solve."""
+    first = rng.random((j, n))
+    first.flat[::3] = 0.0
+    first.flat[1::3] = 1.0
+    usable = length - (m - 1) * spacing
+    return first[:, :, None] * usable + np.arange(m) * spacing
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 6, 10])
+def test_effective_batch_kept_terms_bit_identical_to_broadcast_formula(pc28, rng, k, m):
+    # one ReceiverTerms serves every call of a solve, so its work arrays
+    # are reused from call to call and across layout counts
+    n = 4
+    wg_y = np.linspace(-4.5, 4.5, n)
+    rcv = np.column_stack([rng.uniform(0, 25, k), rng.uniform(-8, 8, k), np.zeros(k)])
+    terms = ReceiverTerms(rcv, wg_y, 3.0)
+    for j in (1, 7, 30, 1, 7, 30):
+        pa_x = _swarm_layouts(rng, j, n, m)
+        got = _effective_batch(pa_x, wg_y, 3.0, rcv, pc28, terms)
+        want = _broadcast_effective_batch(pa_x, wg_y, 3.0, rcv, pc28)
+        assert got.shape == want.shape == (j, k, n)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_complex_by_real_division_is_reciprocal_multiply(rng):
+    # the kernel multiplies by 1/dist where the formula divides by dist
+    z = np.exp(1j * rng.uniform(0.0, 2e4, 100_000))
+    d = rng.uniform(3.0, 40.0, z.size)
+    inv = np.reciprocal(d)
+    product = z.copy()
+    product *= inv
+    assert np.array_equal((z / d).view(np.uint64), product.view(np.uint64))

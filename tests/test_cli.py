@@ -108,6 +108,22 @@ def test_converge_mwmp_matches_golden(tmp_path):
     assert b"".join(texts) == golden.read_bytes()
 
 
+def test_mwmp_non_default_shapes_match_golden(tmp_path):
+    # four antennas per waveguide (the kernel's np.sum path), three waveguides,
+    # unequal swarms and two warden rings (K = 10 receivers): the single solve
+    # and the convergence trace over two inits, one golden for both outputs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pas_per_waveguide": 4, "num_waveguides": 3, "pso_pop_ps": 20,
+                               "pso_pop_bs": 25, "willie_samples_k": 2, "converge_inits": 2}))
+    texts = []
+    for argv in (["mwmp"], ["converge", "--case", "mwmp"]):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+        texts.append(out.read_bytes())
+    golden = Path(__file__).parent / "data" / "golden_mwmp_shapes.csv"
+    assert b"".join(texts) == golden.read_bytes()
+
+
 def test_converge_subcommand(tmp_path):
     cfg = _config_file(tmp_path)
     out = tmp_path / "trace.csv"
@@ -142,6 +158,31 @@ def test_usage_error_reporting(tmp_path, capsys, extra):
     assert captured.out == ""
     err_lines = [ln for ln in captured.err.splitlines() if ln]
     assert len(err_lines) == 1 and err_lines[0].startswith("error: argument --")
+
+
+@pytest.mark.parametrize("extra", [
+    ["--values=,", "--schemes", "swsp"],
+    ["--values", "10", "--schemes", ","],
+], ids=["no_values", "no_schemes"])
+def test_empty_sweep_list_error_reporting(tmp_path, capsys, extra):
+    # an empty list once exited 0 with a header-only CSV
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--config", _config_file(tmp_path), "--variable", "power_budget",
+                 "--out", str(out)] + extra)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not out.exists()
+    err_lines = [ln for ln in captured.err.splitlines() if ln]
+    assert len(err_lines) == 1 and err_lines[0].startswith("error: need at least one")
+
+
+def test_converge_zero_inits_error_reporting(tmp_path, capsys):
+    code = main(["converge", "--case", "mwmp", "--config",
+                 _config_file(tmp_path, converge_inits=0)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: converge_inits must be at least 1, got 0\n"
 
 
 def test_help_exits_zero(capsys):

@@ -107,6 +107,14 @@ def test_run_sweep_validates_names():
         run_sweep(cfg, "power_budget", [20.0], ("swsp", "dirty_precoding"))
 
 
+@pytest.mark.parametrize("values, schemes", [([], ("swsp",)), ([20.0], ())],
+                         ids=["no_values", "no_schemes"])
+def test_run_sweep_rejects_empty_lists(values, schemes):
+    # an empty list once gave no records, which the CLI wrote as a header-only CSV
+    with pytest.raises(ValueError, match="at least one"):
+        run_sweep(_small_config(), "power_budget", values, schemes)
+
+
 def test_run_sweep_records_and_reuse():
     cfg = _small_config(trials=5)
     records = run_sweep(cfg, "uncertainty_radius", [0.5, 1.0],
@@ -158,6 +166,12 @@ def test_run_convergence_mwmp():
     assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
     with pytest.raises(ValueError, match="valid cases"):
         run_convergence(cfg, "both")
+
+
+def test_run_convergence_mwmp_rejects_zero_inits():
+    # zero inits once ended in numpy's "need at least one array to stack"
+    with pytest.raises(ValueError, match="converge_inits must be at least 1"):
+        run_convergence(_small_config(converge_inits=0), "mwmp")
 
 
 def test_emit_csv_round_trip(tmp_path):
