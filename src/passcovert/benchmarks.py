@@ -89,7 +89,6 @@ def heuristic_pass_layout(r_b, geom) -> PinchLayout:
 
 @dataclass(eq=False)
 class BenchmarkResult:
-    kind: BenchmarkKind
     rate: float  # bits/s/Hz
     power: float  # W
     w_tilde: np.ndarray | None
@@ -115,9 +114,9 @@ def evaluate(kind: BenchmarkKind, sc: Scenario, k: int = 1) -> BenchmarkResult:
         else:
             w = mrt_weights(h_b)
     except DegenerateChannelError:
-        return BenchmarkResult(kind, 0.0, 0.0, None)
+        return BenchmarkResult(0.0, 0.0, None)
 
     g_max = float(np.max(np.abs(sample_ch @ w) ** 2))
     g_bob = float(np.abs(h_b @ w) ** 2)
     power, rate = covert_power_rate(g_bob, g_max, sc.gain_budget(), sc.p_max, sc.sigma_b_sq)
-    return BenchmarkResult(kind, float(rate), float(power), w)
+    return BenchmarkResult(float(rate), float(power), w)

@@ -144,11 +144,6 @@ def effective_channel_at(layout: PinchLayout, receivers, pc: PhysConstants) -> n
     return _effective_batch(layout.pa_x(), layout.geom.wg_y_array, layout.geom.height, rcv, pc)
 
 
-def effective_channel(layout: PinchLayout, r, pc: PhysConstants) -> np.ndarray:
-    """Effective N-vector channel so that received amplitude = channel . weights."""
-    return effective_channel_at(layout, as_vec3(r)[None, :], pc)[0]
-
-
 def beam_gain(layout: PinchLayout, weights, receivers, pc: PhysConstants) -> np.ndarray:
     """Received power |channel . w|^2 at each receiver, shape (K,)."""
     eff = effective_channel_at(layout, receivers, pc)
@@ -156,21 +151,10 @@ def beam_gain(layout: PinchLayout, weights, receivers, pc: PhysConstants) -> np.
     return np.abs(amp) ** 2
 
 
-def snr_bob(layout: PinchLayout, beam: BeamVector, r_b, sigma_b_sq: float,
-            pc: PhysConstants) -> float:
-    """Receive SNR at Bob for the given layout and beamformer."""
-    if sigma_b_sq <= 0.0:
-        raise ValueError("noise power at Bob must be positive")
-    gain = beam_gain(layout, beam.weights, as_vec3(r_b)[None, :], pc)[0]
-    return float(gain / sigma_b_sq)
-
-
-def beam_pattern_grid(layout: PinchLayout, beam: BeamVector, xs, ys, pc: PhysConstants,
-                      normalize: bool = False) -> np.ndarray:
-    """Received power over a ground-plane grid, shape (len(xs), len(ys)).
-
-    With ``normalize`` the grid is divided by its maximum, so the peak is 1.
-    """
+def beam_pattern_grid(layout: PinchLayout, beam: BeamVector, xs, ys,
+                      pc: PhysConstants) -> np.ndarray:
+    """Received power over a ground-plane grid, shape (len(xs), len(ys)),
+    divided by its maximum so that the peak is 1 (an all-zero grid stays 0)."""
     xs = np.asarray(xs, dtype=float).reshape(-1)
     ys = np.asarray(ys, dtype=float).reshape(-1)
     if xs.size == 0 or ys.size == 0:
@@ -184,8 +168,5 @@ def beam_pattern_grid(layout: PinchLayout, beam: BeamVector, xs, ys, pc: PhysCon
         stop = start + GRID_BLOCK_CELLS
         gains[start:stop] = beam_gain(layout, beam.weights, cells[start:stop], pc)
     gains = gains.reshape(xs.size, ys.size)
-    if normalize:
-        peak = gains.max()
-        if peak > 0.0:
-            gains = gains / peak
-    return gains
+    peak = gains.max()
+    return gains / peak if peak > 0.0 else gains

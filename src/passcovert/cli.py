@@ -71,6 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _split(text: str) -> list[str]:
+    """Items of a comma-separated list; separators alone make an empty list. An
+    empty item among others fails ``run_sweep``'s number or scheme check."""
+    return [s.strip() for s in text.split(",")] if text.strip(", ") else []
+
+
 def _load(args) -> ExperimentConfig:
     config = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
@@ -125,7 +131,7 @@ def _pattern_csv(config: ExperimentConfig, case: str) -> Iterator[str]:
     sc, layout, beam = _solved_beam(config, case)
     xs = np.linspace(0.0, sc.geom.length, round(sc.geom.length / res) + 1)
     ys = np.linspace(-half, half, round(2.0 * half / res) + 1)
-    grid = beam_pattern_grid(layout, beam, xs, ys, sc.pc, normalize=True)
+    grid = beam_pattern_grid(layout, beam, xs, ys, sc.pc)
     # one "%" per grid row fills a template holding every y of the row; the
     # gains go through the same .17g conversion as a per-cell f-string would
     tails = [f",{y:.17g},%.17g\n" for y in ys]
@@ -154,8 +160,7 @@ def main(argv=None) -> int:
                                                    config.seed))
             _emit_records(records, args)
         elif args.command == "sweep":
-            values = [float(v) for v in args.values.split(",") if v]
-            schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
+            values, schemes = _split(args.values), _split(args.schemes)
             records = harness.run_sweep(config, args.variable, values, schemes)
             _emit_records(records, args)
         elif args.command == "pattern":

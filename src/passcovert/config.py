@@ -119,20 +119,18 @@ class ExperimentConfig:
     def noise_uncertainty(self) -> NoiseUncertainty:
         return NoiseUncertainty(self.sigma_w_sq_watts, self.delta_sigma)
 
-    def scenario(self, kind: str = "mwmp", r_b=None, willie_center=None) -> Scenario:
-        """Single fixed-layout scenario; positions default to the config keys."""
+    def scenario(self, kind: str = "mwmp") -> Scenario:
+        """Single fixed-layout scenario at the configured Bob and warden positions."""
         if kind == "mwmp":
             geom = self.geometry_mwmp()
         elif kind == "swsp":
             geom = self.geometry_swsp()
         else:
             raise ValueError(f"unknown scenario kind {kind!r}; valid kinds: swsp, mwmp")
-        r_b = np.array([self.bob_x_m, self.bob_y_m, 0.0]) if r_b is None else r_b
-        center = (np.array([self.willie_x_m, self.willie_y_m, 0.0])
-                  if willie_center is None else willie_center)
         return Scenario(
-            r_b=r_b,
-            willie=WillieUncertainty(center, self.delta_r_m),
+            r_b=np.array([self.bob_x_m, self.bob_y_m, 0.0]),
+            willie=WillieUncertainty(np.array([self.willie_x_m, self.willie_y_m, 0.0]),
+                                     self.delta_r_m),
             noise_w=self.noise_uncertainty(),
             covertness=CovertnessSpec(self.rho_w),
             sigma_b_sq=self.sigma_b_sq_watts,
@@ -157,24 +155,25 @@ class ExperimentConfig:
         )
 
 
-_FIELD_TYPES = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-_INT_KEYS = {"num_waveguides", "pas_per_waveguide", "willie_samples_k", "pso_pop_bs",
-             "pso_pop_ps", "pso_iterations", "trials", "converge_inits", "seed"}
+# each key's annotation, a string under postponed evaluation: "int", "float"
+# or "float | None", whose null keeps the derived default
+_KINDS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
 
 def config_from_dict(values: dict) -> ExperimentConfig:
     """Build a config from a flat key-value mapping.
 
-    Unknown keys, booleans, values that are not finite numbers and fractional
-    values of integer keys are an error.
+    Unknown keys, booleans, values that are not finite numbers, fractional
+    values of ``int`` keys and null for keys not annotated ``float | None``
+    are an error.
     """
-    unknown = sorted(set(values) - set(_FIELD_TYPES))
+    unknown = sorted(set(values) - set(_KINDS))
     if unknown:
-        valid = ", ".join(sorted(_FIELD_TYPES))
+        valid = ", ".join(sorted(_KINDS))
         raise ValueError(f"unknown config keys {unknown}; valid keys: {valid}")
     coerced = {}
     for key, raw in values.items():
-        if raw is None:
+        if raw is None and _KINDS[key] == "float | None":
             coerced[key] = None
             continue
         try:
@@ -183,7 +182,7 @@ def config_from_dict(values: dict) -> ExperimentConfig:
             number = math.nan
         if isinstance(raw, bool) or not math.isfinite(number):
             raise ValueError(f"config key {key!r} must be a finite number, got {raw!r}")
-        if key not in _INT_KEYS:
+        if _KINDS[key] != "int":
             coerced[key] = number
         elif number.is_integer():
             coerced[key] = int(raw)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .channel import beam_gain
 from .constants import PhysConstants
-from .geometry import BeamVector, PinchLayout, as_vec3
+from .geometry import PinchLayout, as_vec3
 
 
 @dataclass(frozen=True)
@@ -134,11 +134,6 @@ def covert_power_rate(g_bob, g_max, gamma_w: float, p_max: float, sigma_b_sq: fl
                       where=g_max != 0.0)
     power = np.minimum(ratio, p_max)
     return power, np.log2(g_bob / sigma_b_sq * power + 1.0)
-
-
-def willie_gain(layout: PinchLayout, beam: BeamVector, r_w, pc: PhysConstants) -> float:
-    """Beam gain |channel(r_w) . w|^2 at a candidate warden position."""
-    return float(beam_gain(layout, beam.weights, as_vec3(r_w)[None, :], pc)[0])
 
 
 # +x, -x, +y, -y unit offsets of one sampling ring

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from dataclasses import dataclass
 
@@ -41,17 +42,16 @@ def trial_seed(master_seed: int, trial: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def sample_scenarios(config: ExperimentConfig, n: int | None = None,
-                     seed: int | None = None) -> list[Scenario]:
-    """Bob and the nominal warden center drawn uniformly over the ground region."""
-    n = config.trials if n is None else n
-    if n < 1:
+def sample_scenarios(config: ExperimentConfig) -> list[Scenario]:
+    """``config.trials`` draws of Bob and the nominal warden center, uniform
+    over the ground region."""
+    if config.trials < 1:
         raise ValueError("need at least one scenario")
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     template = config.scenario("mwmp")
     x_hi = config.waveguide_length_m
     out = []
-    for _ in range(n):
+    for _ in range(config.trials):
         bob = np.array([rng.uniform(0.0, x_hi),
                         rng.uniform(-_SCENARIO_Y_HALFWIDTH, _SCENARIO_Y_HALFWIDTH), 0.0])
         while True:
@@ -106,11 +106,14 @@ def run_sweep(config: ExperimentConfig, variable: str, values,
     values = [float(v) for v in values]
     if not values:
         raise ValueError("need at least one sweep value")
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"sweep values must be finite numbers, got {values}")
+    # a repeated value or scheme would pass its records off as more trials
+    if not all(math.isfinite(v) for v in values) or len(set(values)) < len(values):
+        raise ValueError(f"sweep values must be distinct finite numbers, got {values}")
     schemes = tuple(schemes)
     if not schemes:
         raise ValueError("need at least one scheme; valid schemes: " + ", ".join(SCHEMES))
+    if len(set(schemes)) < len(schemes):
+        raise ValueError("schemes must not repeat, got " + ", ".join(schemes))
     for s in schemes:
         if s not in SCHEMES:
             raise ValueError(f"unknown scheme {s!r}; valid schemes: " + ", ".join(SCHEMES))
@@ -198,8 +201,8 @@ def read_records(path, fmt: str = "csv") -> list[SweepRecord]:
         text = fh.read()
     if fmt == "csv":
         lines = [ln for ln in text.splitlines() if ln]
-        if lines[0] != ",".join(CSV_HEADER):
-            raise ValueError(f"unexpected CSV header in {path}")
+        if lines[:1] != [",".join(CSV_HEADER)]:
+            raise ValueError(f"missing or unexpected CSV header in {path}")
         out = []
         for ln in lines[1:]:
             parts = ln.split(",")
@@ -207,8 +210,6 @@ def read_records(path, fmt: str = "csv") -> list[SweepRecord]:
                                    float(parts[4]), float(parts[5]), int(parts[6])))
         return out
     if fmt == "json":
-        import json
-
         rows = json.loads(text)
         return [SweepRecord(r["scheme"], r["sweep_variable"], float(r["sweep_value"]),
                             int(r["trial"]), float(r["covert_rate_bps_hz"]),

@@ -124,10 +124,6 @@ class Swarm:
         return cls(pos, np.zeros_like(pos), bests, np.full(len(pos), -np.inf))
 
     @property
-    def best_pos(self) -> np.ndarray:
-        return self.bests[0]
-
-    @property
     def glo_pos(self) -> np.ndarray:
         return self.bests[1, 0]
 

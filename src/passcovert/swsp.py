@@ -25,15 +25,6 @@ class ForbiddenZone:
     interval: tuple[float, float] | None
     theta: float | None  # rad
 
-    @property
-    def empty(self) -> bool:
-        return self.interval is None
-
-    def contains(self, x: float) -> bool:
-        if self.interval is None:
-            return False
-        return self.interval[0] <= x <= self.interval[1]
-
 
 def _zone_bounds(powers: np.ndarray, sc: Scenario):
     """Vectorized zone geometry for an array of transmit powers.

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from passcovert import (BeamVector, CovertnessSpec, ExperimentConfig, NoiseUncertainty,
-                        PassGeometry, Scenario, WillieUncertainty, los_coeff,
-                        willie_gain)
+                        PassGeometry, Scenario, WillieUncertainty, beam_gain, los_coeff)
 from passcovert.benchmarks import (BenchmarkKind, DegenerateChannelError, evaluate,
                                    heuristic_pass_layout, mrt_weights, ula_channel,
                                    ula_channels, ula_positions, zf_weights)
@@ -150,8 +149,7 @@ def test_benchmarks_are_covert_on_samples():
             if kind in (BenchmarkKind.PASS_ZF, BenchmarkKind.PASS_MRT):
                 layout = heuristic_pass_layout(sc.r_b, sc.geom)
                 beam = BeamVector(res.w_tilde, res.power)
-                for pt in samples:
-                    assert willie_gain(layout, beam, pt, sc.pc) <= gamma_w + 1e-12
+                assert np.all(beam_gain(layout, beam.weights, samples, sc.pc) <= gamma_w + 1e-12)
             else:
                 ch = np.stack([ula_channel(p, 4, 3.0, sc.pc) for p in samples])
                 gains = res.power * np.abs(ch @ res.w_tilde) ** 2

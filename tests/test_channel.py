@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from passcovert import (BeamVector, PassGeometry, PinchLayout, derive_constants,
-                        effective_channel, effective_channel_at, freespace_vector,
-                        inwg_phase, inwg_vector, los_coeff, snr_bob)
+                        effective_channel_at, freespace_vector, inwg_phase, inwg_vector,
+                        los_coeff)
 from passcovert.channel import (GRID_BLOCK_CELLS, ReceiverTerms, _effective_batch, beam_gain,
                                 beam_pattern_grid)
 
@@ -141,7 +141,7 @@ def test_effective_channel_swsp_scalar(pc28):
     geom = PassGeometry.single_waveguide(3.0, 25.0)
     layout = PinchLayout(geom, np.array([8.0]))
     r = (11.0, 4.0, 0.0)
-    eff = effective_channel(layout, r, pc28)
+    eff = effective_channel_at(layout, r, pc28)[0]
     expect = np.conj(los_coeff((8.0, 0.0, 3.0), r, pc28)) * inwg_phase(8.0, pc28)
     assert eff[0] == pytest.approx(expect, rel=1e-12)
     d = np.linalg.norm(np.array([11.0, 4.0, 0.0]) - np.array([8.0, 0.0, 3.0]))
@@ -154,7 +154,7 @@ def test_effective_channel_dense_oracle(pc28, rng):
         geom = PassGeometry(3.0, 25.0, n, m, wg_y, 0.0054)
         layout = PinchLayout(geom, rng.uniform(0, geom.usable_length, n))
         r = np.array([rng.uniform(0, 25), rng.uniform(-8, 8), 0.0])
-        eff = effective_channel(layout, r, pc28)
+        eff = effective_channel_at(layout, r, pc28)[0]
         oracle = _dense_oracle(layout, r, pc28)
         np.testing.assert_allclose(eff, oracle, rtol=1e-10, atol=1e-18)
 
@@ -163,7 +163,7 @@ def test_effective_channel_triangle_bound(pc28, rng):
     geom = PassGeometry(3.0, 25.0, 2, 3, (-1.5, 1.5), 0.0054)
     layout = PinchLayout(geom, rng.uniform(0, geom.usable_length, 2))
     r = np.array([5.0, 1.0, 0.0])
-    eff = effective_channel(layout, r, pc28)
+    eff = effective_channel_at(layout, r, pc28)[0]
     for i in range(2):
         dists = np.linalg.norm(
             np.column_stack([layout.pa_x()[i], np.full(3, geom.wg_y[i]), np.full(3, 3.0)])
@@ -172,37 +172,39 @@ def test_effective_channel_triangle_bound(pc28, rng):
         assert abs(eff[i]) <= bound + 1e-15
 
 
-def test_snr_bob_plugin_value(pc28):
-    # antenna directly above Bob, P = 1 W, sigma_b^2 = -100 dBm
+def _bob_gain(layout, beam, r_b, pc):
+    return beam_gain(layout, beam.weights, [r_b], pc)[0]
+
+
+def test_bob_gain_plugin_value(pc28):
+    # antenna directly above Bob, P = 1 W
     geom = PassGeometry.single_waveguide(3.0, 25.0)
     layout = PinchLayout(geom, np.array([12.0]))
     beam = BeamVector(np.ones(1, dtype=complex), 1.0)
-    snr = snr_bob(layout, beam, (12.0, 0.0, 0.0), 1e-13, pc28)
-    assert snr == pytest.approx(pc28.eta / (9.0 * 1e-13), rel=1e-12)
+    gain = _bob_gain(layout, beam, (12.0, 0.0, 0.0), pc28)
+    assert gain == pytest.approx(pc28.eta / 9.0, rel=1e-12)
 
 
-def test_snr_bob_power_scaling_and_zero(pc28):
+def test_bob_gain_power_scaling_and_zero(pc28):
     geom = PassGeometry.single_waveguide(3.0, 25.0)
     layout = PinchLayout(geom, np.array([12.0]))
     r_b = (14.0, 2.0, 0.0)
-    base = snr_bob(layout, BeamVector(np.ones(1, dtype=complex), 1.0), r_b, 1e-13, pc28)
-    scaled = snr_bob(layout, BeamVector(np.ones(1, dtype=complex), 3.5), r_b, 1e-13, pc28)
-    zero = snr_bob(layout, BeamVector(np.ones(1, dtype=complex), 0.0), r_b, 1e-13, pc28)
+    base = _bob_gain(layout, BeamVector(np.ones(1, dtype=complex), 1.0), r_b, pc28)
+    scaled = _bob_gain(layout, BeamVector(np.ones(1, dtype=complex), 3.5), r_b, pc28)
+    zero = _bob_gain(layout, BeamVector(np.ones(1, dtype=complex), 0.0), r_b, pc28)
     assert scaled == pytest.approx(3.5 * base, rel=1e-12)
     assert zero == 0.0
-    with pytest.raises(ValueError):
-        snr_bob(layout, BeamVector(np.ones(1, dtype=complex), 1.0), r_b, 0.0, pc28)
 
 
-def test_snr_global_phase_invariance(pc28, rng):
+def test_bob_gain_global_phase_invariance(pc28, rng):
     geom = PassGeometry(3.0, 25.0, 3, 2, (-3.0, 0.0, 3.0), 0.0054)
     layout = PinchLayout(geom, rng.uniform(0, geom.usable_length, 3))
     w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     w /= np.linalg.norm(w)
     r_b = (9.0, 2.0, 0.0)
-    base = snr_bob(layout, BeamVector(w, 2.0), r_b, 1e-13, pc28)
+    base = _bob_gain(layout, BeamVector(w, 2.0), r_b, pc28)
     for phi in (0.3, 1.7, -2.2):
-        rotated = snr_bob(layout, BeamVector(w * np.exp(1j * phi), 2.0), r_b, 1e-13, pc28)
+        rotated = _bob_gain(layout, BeamVector(w * np.exp(1j * phi), 2.0), r_b, pc28)
         assert rotated == pytest.approx(base, rel=1e-12)
 
 
@@ -212,7 +214,7 @@ def test_beam_pattern_peak_beneath_antenna(pc28):
     beam = BeamVector(np.ones(1, dtype=complex), 0.5)
     xs = np.arange(0.0, 25.01, 0.25)
     ys = np.arange(-10.0, 10.01, 0.25)
-    grid = beam_pattern_grid(layout, beam, xs, ys, pc28, normalize=True)
+    grid = beam_pattern_grid(layout, beam, xs, ys, pc28)
     i, j = np.unravel_index(np.argmax(grid), grid.shape)
     assert xs[i] == pytest.approx(7.25, abs=0.25)
     assert ys[j] == pytest.approx(0.0, abs=0.25)
@@ -243,7 +245,7 @@ def test_beam_pattern_blocks_bit_identical_to_one_call(pc28, rng):
     xs = np.linspace(0.0, 25.0, 3 * GRID_BLOCK_CELLS // ys.size + 2)
     cells = xs.size * ys.size
     assert cells > 3 * GRID_BLOCK_CELLS and cells % GRID_BLOCK_CELLS
-    got = beam_pattern_grid(layout, beam, xs, ys, pc28, normalize=True)
+    got = beam_pattern_grid(layout, beam, xs, ys, pc28)
     want = _one_call_pattern(layout, beam, xs, ys, pc28)
     assert got.shape == want.shape == (xs.size, ys.size)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -255,7 +257,7 @@ def test_effective_channel_at_batches_match_single(pc28, rng):
     rcv = np.column_stack([rng.uniform(0, 25, 5), rng.uniform(-8, 8, 5), np.zeros(5)])
     batch = effective_channel_at(layout, rcv, pc28)
     for k in range(5):
-        np.testing.assert_allclose(batch[k], effective_channel(layout, rcv[k], pc28),
+        np.testing.assert_allclose(batch[k], effective_channel_at(layout, rcv[k], pc28)[0],
                                    rtol=1e-12)
 
 

@@ -212,6 +212,9 @@ def test_error_on_unwritable_out(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_SWEEP_ARGS = ["--variable", "power_budget", "--values", "10", "--schemes", "swsp"]
+
+
 @pytest.mark.parametrize("command, keys, extra", [
     ("swsp", {"delta_r_m": float("nan")}, []),
     ("mwmp", {"delta_r_m": float("inf")}, []),
@@ -235,10 +238,28 @@ def test_error_on_unwritable_out(tmp_path, capsys):
     ("pattern", {"rho_w": 0}, ["--case", "mwmp"]),
     # a negative half-width once printed a one-row map at -half, or died in linspace
     ("pattern", {"pattern_y_halfwidth_m": -0.05}, []),
+    # null once passed for every key and died in a TypeError traceback; only
+    # the keys annotated float | None take it
+    ("swsp", {"height_m": None}, []),
+    ("mwmp", {"height_m": None}, []),
+    ("sweep", {"height_m": None}, _SWEEP_ARGS),
+    ("pattern", {"height_m": None}, []),
+    ("sweep", {"trials": None}, _SWEEP_ARGS),
+    ("sweep", {"seed": None}, _SWEEP_ARGS),
+    # repeats and empty items once wrote copies of one (scheme, value, trial)
+    # record, which mean_rates averaged as trials
+    ("sweep", {}, ["--variable", "power_budget", "--values=10,,10", "--schemes", "swsp,,swsp"]),
+    ("sweep", {}, ["--variable", "power_budget", "--values=10,", "--schemes", "swsp"]),
+    ("sweep", {}, ["--variable", "power_budget", "--values=10,10.0", "--schemes", "swsp"]),
+    ("sweep", {}, ["--variable", "power_budget", "--values=10", "--schemes", "swsp,mwmp,swsp"]),
+    ("sweep", {}, ["--variable", "power_budget", "--values=10", "--schemes", "swsp, "]),
 ], ids=["delta_r_nan", "delta_r_inf", "p_max_inf", "vmax_nan", "n_wg_bool", "n_wg_fraction",
      "values_nan", "wg_stacked", "delta_p_negative", "delta_p_steps_overflow", "samples_k_zero",
      "carrier_underflow", "converge_grid_out_of_memory", "pattern_json", "pattern_res_zero",
-     "pattern_zero_power", "pattern_halfwidth_negative"])
+     "pattern_zero_power", "pattern_halfwidth_negative", "swsp_height_null", "mwmp_height_null",
+     "sweep_height_null", "pattern_height_null", "sweep_trials_null", "sweep_seed_null",
+     "sweep_repeats_and_empty_items", "values_trailing_empty_item", "values_repeat",
+     "schemes_repeat", "schemes_trailing_empty_item"])
 def test_invalid_numeric_inputs_rejected(tmp_path, capsys, command, keys, extra):
     # each of these once printed a nan row, an unsafe full-power rate or a
     # silently coerced setting with exit 0, or died with a traceback
@@ -248,6 +269,21 @@ def test_invalid_numeric_inputs_rejected(tmp_path, capsys, command, keys, extra)
     assert captured.out == ""
     err_lines = [ln for ln in captured.err.splitlines() if ln]
     assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("key, args", [
+    ("delta_p_watts", ["swsp"]),
+    ("pa_spacing_m", ["mwmp"]),
+    ("converge_delta_p_watts", ["converge", "--case", "swsp"]),
+])
+def test_null_keeps_derived_default(tmp_path, key, args):
+    # null for a key annotated float | None is the omitted key, whose
+    # default is derived from other keys
+    omitted, null = tmp_path / "omitted.csv", tmp_path / "null.csv"
+    assert main(args + ["--config", _config_file(tmp_path), "--out", str(omitted)]) == 0
+    assert main(args + ["--config", _config_file(tmp_path, **{key: None}),
+                        "--out", str(null)]) == 0
+    assert null.read_bytes() == omitted.read_bytes()
 
 
 def test_swsp_fine_resolution_solves(tmp_path, capsys):

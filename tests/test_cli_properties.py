@@ -28,7 +28,7 @@ _KEYS = ("carrier_freq_hz", "n_eff", "height_m", "waveguide_length_m", "num_wave
          "pas_per_waveguide", "pa_spacing_m", "wg_spacing_m", "p_max_dbm", "sigma_b_dbm",
          "sigma_w_dbm", "delta_sigma_db", "rho_w", "delta_r_m", "willie_samples_k",
          "bob_x_m", "bob_y_m", "willie_x_m", "willie_y_m", "delta_p_watts")
-_ODD = (math.nan, math.inf, -math.inf, True, False, 0, 0.0, -1, -2.5, 0.5, 2.5, 1e-300)
+_ODD = (None, math.nan, math.inf, -math.inf, True, False, 0, 0.0, -1, -2.5, 0.5, 2.5, 1e-300)
 _VALUES = st.one_of(st.sampled_from(_ODD), st.integers(-2, 6), st.floats(-40.0, 40.0))
 _CONFIGS = st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=3)
 # a coarse grid and a short swarm keep each pattern example cheap
@@ -207,6 +207,6 @@ def test_pattern_cli_rows_match_library_grid(tmp_path_factory, case, keys):
     assert cells.shape == (xs.size * ys.size, 3)
     assert np.array_equal(cells[:, 0], np.repeat(xs, ys.size))
     assert np.array_equal(cells[:, 1], np.tile(ys, xs.size))
-    grid = beam_pattern_grid(layout, beam, xs, ys, sc.pc, normalize=True)
+    grid = beam_pattern_grid(layout, beam, xs, ys, sc.pc)
     assert np.array_equal(cells[:, 2], grid.ravel())
     assert grid.max() == 1.0

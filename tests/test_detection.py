@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from passcovert import (BeamVector, CovertnessSpec, NoiseUncertainty, PassGeometry,
                         PinchLayout, WillieUncertainty, covert_gain_budget, noise_pdf,
                         optimal_detection, sample_region, total_error_rate,
-                        willie_gain, worst_case_gain)
+                        worst_case_gain)
 from passcovert.channel import beam_gain
 from passcovert.detection import covert_power_rate
 
@@ -204,18 +204,18 @@ def test_covert_power_rate_scalar_matches_array(rng):
         assert float(p) == powers[i] and float(rate) == rates[i]
 
 
-def test_willie_gain_swsp_identity(pc28, rng):
+def test_warden_beam_gain_swsp_identity(pc28, rng):
     geom = PassGeometry.single_waveguide(3.0, 25.0)
     layout = PinchLayout(geom, np.array([9.0]))
     for power in (0.25, 1.0, 4.0):
         beam = BeamVector(np.ones(1, dtype=complex), power)
         r_w = np.array([rng.uniform(0, 25), rng.uniform(-9, 9), 0.0])
         d_sq = np.sum((r_w - np.array([9.0, 0.0, 3.0])) ** 2)
-        gain = willie_gain(layout, beam, r_w, pc28)
+        gain = beam_gain(layout, beam.weights, [r_w], pc28)[0]
         assert gain * d_sq == pytest.approx(power * pc28.eta, rel=1e-12)
 
 
-def test_willie_gain_dense_oracle(pc28):
+def test_warden_beam_gain_dense_oracle(pc28):
     from test_channel import _dense_oracle
 
     geom = PassGeometry(3.0, 25.0, 2, 1, (-1.5, 1.5), 0.0054)
@@ -224,7 +224,7 @@ def test_willie_gain_dense_oracle(pc28):
     beam = BeamVector(w, 2.0)
     r_w = (13.0, -5.0, 0.0)
     oracle = abs(_dense_oracle(layout, r_w, pc28) @ beam.weights) ** 2
-    assert willie_gain(layout, beam, r_w, pc28) == pytest.approx(oracle, rel=1e-10)
+    assert beam_gain(layout, beam.weights, [r_w], pc28)[0] == pytest.approx(oracle, rel=1e-10)
 
 
 def test_sample_region_cross():

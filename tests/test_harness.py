@@ -87,8 +87,7 @@ def test_sample_scenarios_region_and_determinism():
 
 
 def test_sample_scenarios_uniform_mean():
-    cfg = _small_config()
-    scs = sample_scenarios(cfg, n=10_000, seed=5)
+    scs = sample_scenarios(_small_config(trials=10_000, seed=5))
     xs = np.array([sc.r_b[0] for sc in scs])
     assert xs.mean() == pytest.approx(12.5, abs=0.3)
 
@@ -113,6 +112,16 @@ def test_run_sweep_rejects_empty_lists(values, schemes):
     # an empty list once gave no records, which the CLI wrote as a header-only CSV
     with pytest.raises(ValueError, match="at least one"):
         run_sweep(_small_config(), "power_budget", values, schemes)
+
+
+@pytest.mark.parametrize("values, schemes", [([10.0, 20.0, 10.0], ("swsp",)),
+                                             (["10", 10.0], ("swsp",)),
+                                             ([10.0], ("swsp", "mwmp", "swsp"))],
+                         ids=["value", "value_as_text", "scheme"])
+def test_run_sweep_rejects_repeats(values, schemes):
+    # a repeat once wrote copies of one (scheme, value, trial) record
+    with pytest.raises(ValueError, match="distinct|repeat"):
+        run_sweep(_small_config(trials=1), "power_budget", values, schemes)
 
 
 def test_run_sweep_records_and_reuse():
@@ -198,6 +207,14 @@ def test_emit_empty_csv(tmp_path):
                                 "covert_rate_bps_hz,p_opt_watts,seed\n")
 
 
+def test_read_records_rejects_empty_csv(tmp_path):
+    # an empty file once raised a bare IndexError
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="empty.csv"):
+        read_records(path, "csv")
+
+
 def test_emit_json_round_trip(tmp_path):
     records = [SweepRecord("pass_zf", "uncertainty_radius", 0.5, 3,
                            0.12345678901234567, 2.5e-2, 7)]
@@ -231,7 +248,7 @@ def test_emitted_rows_revalidate_post_hoc(tmp_path):
     # covertness check; this is the post-hoc validation path for emitted files
     import dataclasses as dc
 
-    from passcovert import BeamVector, PinchLayout, willie_gain
+    from passcovert import BeamVector, PinchLayout, beam_gain
     from passcovert import mwmp, swsp
     from passcovert.harness import _apply_sweep_value, solve_scheme
 
@@ -254,14 +271,13 @@ def test_emitted_rows_revalidate_post_hoc(tmp_path):
             if sol.feasible:
                 layout = PinchLayout(sc.geom, np.array([sol.x_opt]))
                 beam = BeamVector(np.ones(1, dtype=complex), sol.p_opt)
-                for pt in samples:
-                    assert willie_gain(layout, beam, pt, sc.pc) <= gamma_w + 1e-12
+                gains = beam_gain(layout, beam.weights, samples, sc.pc)
+                assert np.all(gains <= gamma_w + 1e-12)
         elif row.scheme == "mwmp":
             sol = mwmp.solve(base, cfg.pso_params(row.seed), k=cfg.willie_samples_k)
             layout = PinchLayout(base.geom, sol.x_init)
             beam = BeamVector(sol.w_tilde, sol.power)
-            for pt in samples:
-                assert willie_gain(layout, beam, pt, base.pc) <= gamma_w + 1e-12
+            assert np.all(beam_gain(layout, beam.weights, samples, base.pc) <= gamma_w + 1e-12)
 
 
 GOLDEN_SWEEPS = {

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from passcovert import (BeamVector, CovertnessSpec, ExperimentConfig, NoiseUncertainty,
-                        PassGeometry, PinchLayout, Scenario, WillieUncertainty, willie_gain)
+                        PassGeometry, PinchLayout, Scenario, WillieUncertainty, beam_gain)
 from passcovert import mwmp
 from passcovert.detection import covert_power_rate, sample_region, worst_case_gain
 from passcovert.mwmp import PsoParams, init_swarms, solve, step
@@ -136,9 +136,9 @@ def test_step_stationary_when_converged():
     swarms = init_swarms(2, params, rng)
     # collapse both swarms onto their global bests with zero velocity
     swarms.ps.pos[:] = swarms.ps.glo_pos
-    swarms.ps.best_pos[:] = swarms.ps.glo_pos
+    swarms.ps.bests[0] = swarms.ps.glo_pos
     swarms.bs.pos[:] = swarms.bs.glo_pos
-    swarms.bs.best_pos[:] = swarms.bs.glo_pos
+    swarms.bs.bests[0] = swarms.bs.glo_pos
     before_ps = swarms.ps.pos.copy()
     before_bs = swarms.bs.pos.copy()
     step(swarms, mwmp._context(sc, 1), params)
@@ -188,8 +188,7 @@ def test_solution_respects_constraints():
     layout = PinchLayout(sc.geom, sol.x_init)
     beam = BeamVector(sol.w_tilde, sol.power)
     gamma_w = sc.gain_budget()
-    for pt in sc.willie_samples(1):
-        assert willie_gain(layout, beam, pt, sc.pc) <= gamma_w + 1e-12
+    assert np.all(beam_gain(layout, beam.weights, sc.willie_samples(1), sc.pc) <= gamma_w + 1e-12)
 
 
 def test_solve_beats_single_antenna_on_reported_layout(default_config):

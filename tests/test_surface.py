@@ -1,0 +1,79 @@
+"""Every public function, class and method of the package has a caller in the
+program: another part of ``src/passcovert``, or the benchmark under
+``perfbench/``. Names only the tests reach widen the API without serving the
+CLI or the harness. The check reads the source and runs nothing.
+
+A name counts as used where it appears as a name, an attribute or an import
+anywhere in those files other than its own definition and the package's
+``__init__`` re-exports. Attributes of ``np`` and ``math`` do not count, so
+``np.empty`` does not keep a method ``empty`` alive.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "passcovert"
+
+# closed forms of the paper's model that the tests check the solvers against
+ORACLES = {
+    "los_coeff": "one spherical-wave LoS coefficient, the kernel's scalar form",
+    "inwg_phase": "one in-waveguide phase, the kernel's guided term",
+    "inwg_vector": "the in-waveguide channel of one waveguide, for the dense-matrix oracle",
+    "freespace_vector": "the free-space channel of one waveguide, for the dense-matrix oracle",
+    "noise_pdf": "the warden's log-uniform noise density, checked by quadrature",
+    "total_error_rate": "the warden's error rate at any threshold, beside its optimum",
+    "optimal_detection": "the warden's optimal threshold and error rate in closed form",
+    "forbidden_zone": "the swsp forbidden interval at one power, in closed form",
+    "optimal_position": "the swsp closed-form position at one power",
+    "achievable_rate": "the swsp rate at one position and power",
+    "mean_rates": "the per-(scheme, value) means the paper's acceptance criteria compare",
+}
+_MODULES = {"np", "math"}
+
+
+def _used_names(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            if not (isinstance(node.value, ast.Name) and node.value.id in _MODULES):
+                names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def _public_definitions():
+    """(module, qualified name, name) of every public top-level function and
+    class and of every public method of a public class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            yield path.stem, node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        yield path.stem, f"{node.name}.{member.name}", member.name
+
+
+def _program_names() -> set[str]:
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += (ROOT / "perfbench").glob("*.py")
+    return set().union(*(_used_names(p) for p in files))
+
+
+def test_every_public_name_has_a_caller():
+    used = _program_names()
+    unused = [f"{module}.{qualified}" for module, qualified, name in _public_definitions()
+              if name not in used and name not in ORACLES]
+    assert unused == []
+
+
+def test_oracles_exist_and_stay_uncalled():
+    # an oracle the program starts to call, or one deleted, leaves the list
+    defined = {qualified for _, qualified, _ in _public_definitions()}
+    assert set(ORACLES) <= defined
+    assert set(ORACLES) & _program_names() == set()
