@@ -17,8 +17,8 @@ from .harness import (SCHEMES, SWEEP_VARIABLES, SweepRecord, mean_rates, read_re
 from .mwmp import MwmpSolution, PsoParams
 from .mwmp import solve as solve_mwmp
 from .scenario import Scenario
-from .swsp import (CovertnessInfeasibleError, ForbiddenZone, SwspSolution,
-                   achievable_rate, forbidden_zone, optimal_position, rate_trace)
+from .swsp import (ForbiddenZone, SwspSolution, achievable_rate, forbidden_zone,
+                   optimal_position, rate_trace)
 from .swsp import solve as solve_swsp
 
 __version__ = "0.1.0"

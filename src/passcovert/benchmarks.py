@@ -67,8 +67,6 @@ def zf_weights(h_b_eff, h_w_eff) -> np.ndarray:
     """
     h_b = np.asarray(h_b_eff, dtype=complex).reshape(-1)
     h_w = np.asarray(h_w_eff, dtype=complex).reshape(-1)
-    if h_b.size < 2:
-        raise DegenerateChannelError("nulling requires at least two antennas")
     if np.linalg.norm(h_w) == 0.0:
         raise DegenerateChannelError("cannot null a zero channel")
     a = np.conj(h_b)

@@ -103,17 +103,15 @@ def _solved_beam(config: ExperimentConfig, case: str):
     """Layout and full beamformer of the solved instance for pattern export."""
     if case == "swsp":
         sc = config.scenario("swsp")
-        sol = swsp.solve(sc, config.delta_p())
-        if not sol.feasible:
-            raise ValueError("configured instance is covertness-infeasible; no pattern")
-        layout = PinchLayout(sc.geom, np.array([sol.x_opt]))
-        return sc, layout, BeamVector(np.ones(1, dtype=complex), sol.p_opt)
-    sc = config.scenario("mwmp")
-    sol = mwmp.solve(sc, config.pso_params(), k=config.willie_samples_k)
-    if not sol.power > 0.0:  # a zero-power beam has no pattern to normalize
+        sol = swsp.solve(sc, config.delta_p())  # p_opt is 0 exactly when infeasible
+        x, w, power = [sol.x_opt], np.ones(1, dtype=complex), sol.p_opt
+    else:
+        sc = config.scenario("mwmp")
+        sol = mwmp.solve(sc, config.pso_params(), k=config.willie_samples_k)
+        x, w, power = sol.x_init, sol.w_tilde, sol.power
+    if not power > 0.0:  # a zero-power beam has no pattern to normalize
         raise ValueError("configured instance allows no covert power; no pattern")
-    layout = PinchLayout(sc.geom, sol.x_init)
-    return sc, layout, BeamVector(sol.w_tilde, sol.power)
+    return sc, PinchLayout(sc.geom, x), BeamVector(w, power)
 
 
 def _pattern_csv(config: ExperimentConfig, case: str) -> Iterator[str]:

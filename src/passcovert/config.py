@@ -163,9 +163,9 @@ _KINDS = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 def config_from_dict(values: dict) -> ExperimentConfig:
     """Build a config from a flat key-value mapping.
 
-    Unknown keys, booleans, values that are not finite numbers, fractional
-    values of ``int`` keys and null for keys not annotated ``float | None``
-    are an error.
+    Unknown keys, values that are not finite numbers (booleans and numeric
+    text included), fractional values of ``int`` keys and null for keys not
+    annotated ``float | None`` are an error.
     """
     unknown = sorted(set(values) - set(_KINDS))
     if unknown:
@@ -176,11 +176,12 @@ def config_from_dict(values: dict) -> ExperimentConfig:
         if raw is None and _KINDS[key] == "float | None":
             coerced[key] = None
             continue
+        is_number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
         try:
-            number = float(raw)
-        except (TypeError, ValueError, OverflowError):
+            number = float(raw) if is_number else math.nan
+        except OverflowError:  # an int beyond the float range
             number = math.nan
-        if isinstance(raw, bool) or not math.isfinite(number):
+        if not math.isfinite(number):
             raise ValueError(f"config key {key!r} must be a finite number, got {raw!r}")
         if _KINDS[key] != "int":
             coerced[key] = number

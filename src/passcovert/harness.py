@@ -146,9 +146,7 @@ def run_convergence(config: ExperimentConfig, case: str) -> list[SweepRecord]:
     random initializations (the swsp search is deterministic, so one run).
     """
     if case == "swsp":
-        sc = config.scenario("swsp")
-        trace = swsp.rate_trace(sc, config.converge_delta_p())
-        powers = config.converge_delta_p() * np.arange(1, trace.size + 1)
+        powers, trace = swsp.rate_trace(config.scenario("swsp"), config.converge_delta_p())
         if trace.size == 0:  # no grid power is covert or within the budget
             trace, powers = np.zeros(1), np.zeros(1)
         return [SweepRecord("swsp", "iteration", float(i + 1), -1, float(trace[i]),
@@ -203,15 +201,20 @@ def read_records(path, fmt: str = "csv") -> list[SweepRecord]:
         lines = [ln for ln in text.splitlines() if ln]
         if lines[:1] != [",".join(CSV_HEADER)]:
             raise ValueError(f"missing or unexpected CSV header in {path}")
-        out = []
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            out.append(SweepRecord(parts[0], parts[1], float(parts[2]), int(parts[3]),
-                                   float(parts[4]), float(parts[5]), int(parts[6])))
-        return out
-    if fmt == "json":
+        rows = [ln.split(",") for ln in lines[1:]]
+    elif fmt == "json":
         rows = json.loads(text)
-        return [SweepRecord(r["scheme"], r["sweep_variable"], float(r["sweep_value"]),
-                            int(r["trial"]), float(r["covert_rate_bps_hz"]),
-                            float(r["p_opt_watts"]), int(r["seed"])) for r in rows]
-    raise ValueError(f"unknown input format {fmt!r}; valid formats: csv, json")
+        if not isinstance(rows, list):
+            raise ValueError(f"expected a JSON list of records in {path}")
+    else:
+        raise ValueError(f"unknown input format {fmt!r}; valid formats: csv, json")
+    out = []
+    for i, row in enumerate(rows, 1):
+        try:  # a CSV row's fields, or a JSON object's values in CSV_HEADER order
+            fields = row if fmt == "csv" else [row[k] for k in CSV_HEADER]
+            scheme, variable, value, trial, rate, p_opt, seed = fields
+            out.append(SweepRecord(scheme, variable, float(value), int(trial),
+                                   float(rate), float(p_opt), int(seed)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed record {i} in {path}: {exc!r}") from None
+    return out

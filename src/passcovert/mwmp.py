@@ -172,13 +172,8 @@ class TwinSwarms:
 
 def _random_unit_rows(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
     raw = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    zero = norms[:, 0] == 0.0
-    while np.any(zero):  # pragma: no cover - measure-zero event
-        raw[zero] = rng.standard_normal((int(zero.sum()), n)) + 1j * rng.standard_normal((int(zero.sum()), n))
-        norms = np.linalg.norm(raw, axis=1, keepdims=True)
-        zero = norms[:, 0] == 0.0
-    return raw / norms
+    _renormalize_rows(raw, rng)
+    return raw
 
 
 def _renormalize_rows(pos: np.ndarray, rng: np.random.Generator) -> None:

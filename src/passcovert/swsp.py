@@ -11,10 +11,6 @@ import numpy as np
 from .scenario import Scenario
 
 
-class CovertnessInfeasibleError(ValueError):
-    """Raised when rho_w = 0 leaves no positive transmit power covert."""
-
-
 @dataclass(frozen=True)
 class ForbiddenZone:
     """Interval of antenna positions where covertness can fail somewhere in the
@@ -32,16 +28,11 @@ def _zone_bounds(powers: np.ndarray, sc: Scenario):
     Returns (exists, x_lo, x_hi, d_bou, d_tot); x_lo/x_hi are meaningful only
     where ``exists``.
     """
-    rho = sc.covertness.rho_w
-    if rho <= 0.0:
-        if np.any(powers > 0.0):
-            raise CovertnessInfeasibleError(
-                "rho_w = 0 admits no positive transmit power")
-        zeros = np.zeros_like(powers)
-        return zeros.astype(bool), zeros, zeros, zeros, np.full_like(powers, sc.willie.radius)
     nu = sc.noise_w
-    denom = nu.nominal * (nu.delta ** (2.0 * rho) - 1.0)
-    with np.errstate(divide="ignore"):  # a tiny rho_w rounds denom to 0: the zone is endless
+    denom = nu.nominal * (nu.delta ** (2.0 * sc.covertness.rho_w) - 1.0)
+    # rho_w = 0, or one small enough to round denom to 0, makes the zone endless
+    # at every positive power; at power 0 it is empty (0/0 distances are NaN)
+    with np.errstate(divide="ignore", invalid="ignore"):
         d_bou = np.sqrt(powers * sc.pc.eta * nu.delta / denom)
     h = sc.geom.height
     proj = np.sqrt(np.maximum(d_bou**2 - h**2, 0.0))
@@ -123,8 +114,7 @@ _ULP_SLACK = 8  # ulps of the best rate that cover log2 being only faithfully ro
 
 
 def _grid_size(sc: Scenario, delta_p: float) -> int:
-    """Number n of grid powers delta_p * (1, ..., n) within the budget, or 0
-    when rho_w = 0 admits no positive power."""
+    """Number n of grid powers delta_p * (1, ..., n) within the budget."""
     if not (math.isfinite(delta_p) and delta_p > 0.0):
         raise ValueError(f"power search resolution must be a finite positive number, "
                          f"got {delta_p!r}")
@@ -132,8 +122,6 @@ def _grid_size(sc: Scenario, delta_p: float) -> int:
     if not steps < 2.0**63:
         raise ValueError(f"power search resolution {delta_p!r} W gives more grid "
                          f"steps than fit in int64")
-    if sc.covertness.rho_w <= 0.0:
-        return 0
     return int(math.floor(steps))
 
 
@@ -149,19 +137,14 @@ def _rates(powers, xs, sc: Scenario):
 
 
 def _search(sc: Scenario, delta_p: float):
-    """Power grid, rates and positions visited by the 1-D search (after the
+    """Power grid, positions and rates visited by the 1-D search (after the
     early stop at the first infeasible power)."""
-    n = _grid_size(sc, delta_p)
-    if n == 0:
-        return np.empty(0), np.empty(0), np.empty(0)
-    powers, xs = _positions_at(np.arange(1, n + 1), sc, delta_p)
+    powers, xs = _positions_at(np.arange(1, _grid_size(sc, delta_p) + 1), sc, delta_p)
     feasible = ~np.isnan(xs)
     if not feasible.all():
         # the zone grows monotonically with power, so stop at the first gap
         stop = int(np.argmin(feasible))
         powers, xs = powers[:stop], xs[:stop]
-    if powers.size == 0:
-        return np.empty(0), np.empty(0), np.empty(0)
     return powers, xs, _rates(powers, xs, sc)
 
 
@@ -235,8 +218,8 @@ def solve(sc: Scenario, delta_p: float) -> SwspSolution:
     return SwspSolution(float(best[2]), float(best[3]), float(best[0]), True)
 
 
-def rate_trace(sc: Scenario, delta_p: float) -> np.ndarray:
-    """Best-rate-so-far after each power step of the 1-D search; empty when
-    no grid power is feasible."""
-    _, _, rates = _search(sc, delta_p)
-    return np.maximum.accumulate(rates)
+def rate_trace(sc: Scenario, delta_p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Grid powers of the 1-D search and the best rate so far after each; both
+    empty when no grid power is feasible."""
+    powers, _, rates = _search(sc, delta_p)
+    return powers, np.maximum.accumulate(rates)

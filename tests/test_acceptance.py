@@ -17,6 +17,8 @@ from passcovert.channel import _effective_batch
 from passcovert.cli import main as cli_main
 from passcovert.detection import covert_power_rate, worst_case_gain
 
+from detection_reference import five_branch
+
 DEFAULTS = ExperimentConfig()
 
 
@@ -92,20 +94,6 @@ def test_criterion_1_detection_closed_forms():
             f"{elapsed:.0f}s")
 
 
-def _five_branch(gamma, s, nu):
-    lo, hi = nu.support
-    two_ln = 2.0 * np.log(nu.delta)
-    if gamma < lo:
-        return 1.0
-    if gamma < lo + s:
-        return np.log(nu.delta * nu.nominal / gamma) / two_ln
-    if gamma < hi:
-        return np.log(nu.delta**2 * (1.0 - s / gamma)) / two_ln
-    if gamma < hi + s:
-        return np.log(nu.delta * (gamma - s) / nu.nominal) / two_ln
-    return 1.0
-
-
 def test_criterion_2_branch_equivalence():
     rng = np.random.default_rng(20250811)
     worst = 0.0
@@ -116,7 +104,7 @@ def test_criterion_2_branch_equivalence():
         s = rng.uniform(0.0, nominal * (delta - 1.0 / delta) * 0.999)  # in-regime
         lo, hi = nu.support
         gamma = rng.uniform(lo * 0.5, hi + 1.5 * s + lo)
-        worst = max(worst, abs(total_error_rate(gamma, s, nu) - _five_branch(gamma, s, nu)))
+        worst = max(worst, abs(total_error_rate(gamma, s, nu) - five_branch(gamma, s, nu)))
     _report("criterion 2 (five-branch equivalence)", worst <= 1e-12,
             f"max |direct - branched| = {worst:.2e} (tol 1e-12)")
 

@@ -246,6 +246,9 @@ _SWEEP_ARGS = ["--variable", "power_budget", "--values", "10", "--schemes", "sws
     ("pattern", {"height_m": None}, []),
     ("sweep", {"trials": None}, _SWEEP_ARGS),
     ("sweep", {"seed": None}, _SWEEP_ARGS),
+    # numeric text once passed as the number, or failed in int() naming no key
+    ("swsp", {"height_m": "3"}, []),
+    ("mwmp", {"num_waveguides": "4.0"}, []),
     # repeats and empty items once wrote copies of one (scheme, value, trial)
     # record, which mean_rates averaged as trials
     ("sweep", {}, ["--variable", "power_budget", "--values=10,,10", "--schemes", "swsp,,swsp"]),
@@ -258,6 +261,7 @@ _SWEEP_ARGS = ["--variable", "power_budget", "--values", "10", "--schemes", "sws
      "carrier_underflow", "converge_grid_out_of_memory", "pattern_json", "pattern_res_zero",
      "pattern_zero_power", "pattern_halfwidth_negative", "swsp_height_null", "mwmp_height_null",
      "sweep_height_null", "pattern_height_null", "sweep_trials_null", "sweep_seed_null",
+     "swsp_height_text", "mwmp_n_wg_text",
      "sweep_repeats_and_empty_items", "values_trailing_empty_item", "values_repeat",
      "schemes_repeat", "schemes_trailing_empty_item"])
 def test_invalid_numeric_inputs_rejected(tmp_path, capsys, command, keys, extra):
@@ -269,6 +273,24 @@ def test_invalid_numeric_inputs_rejected(tmp_path, capsys, command, keys, extra)
     assert captured.out == ""
     err_lines = [ln for ln in captured.err.splitlines() if ln]
     assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+
+
+def test_rho_zero_takes_the_general_path(tmp_path, capsys):
+    # rho_w = 0 once had its own branches; 1e-300 rounds the gain budget to
+    # the same zero through the general forbidden-zone formula
+    def run(args, rho):
+        code = main(args + ["--config", _config_file(tmp_path, rho_w=rho, pso_iterations=5)])
+        return code, capsys.readouterr()
+
+    for args in (["swsp"], ["mwmp"], ["bench"], ["converge", "--case", "swsp"],
+                 ["pattern", "--case", "swsp"], ["pattern", "--case", "mwmp"]):
+        (code, zero), (code_tiny, tiny) = run(args, 0), run(args, 1e-300)
+        assert (code, zero.out, zero.err) == (code_tiny, tiny.out, tiny.err)
+        if args[0] == "pattern":  # no covert power, so no pattern to normalize
+            assert code == 2 and zero.out == "" and zero.err.startswith("error: ")
+            assert len(zero.err.splitlines()) == 1
+        else:
+            assert code == 0 and zero.err == ""
 
 
 @pytest.mark.parametrize("key, args", [

@@ -28,7 +28,8 @@ _KEYS = ("carrier_freq_hz", "n_eff", "height_m", "waveguide_length_m", "num_wave
          "pas_per_waveguide", "pa_spacing_m", "wg_spacing_m", "p_max_dbm", "sigma_b_dbm",
          "sigma_w_dbm", "delta_sigma_db", "rho_w", "delta_r_m", "willie_samples_k",
          "bob_x_m", "bob_y_m", "willie_x_m", "willie_y_m", "delta_p_watts")
-_ODD = (None, math.nan, math.inf, -math.inf, True, False, 0, 0.0, -1, -2.5, 0.5, 2.5, 1e-300)
+_ODD = (None, math.nan, math.inf, -math.inf, True, False, 0, 0.0, -1, -2.5, 0.5, 2.5, 1e-300,
+        "3")
 _VALUES = st.one_of(st.sampled_from(_ODD), st.integers(-2, 6), st.floats(-40.0, 40.0))
 _CONFIGS = st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=3)
 # a coarse grid and a short swarm keep each pattern example cheap

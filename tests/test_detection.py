@@ -11,6 +11,8 @@ from passcovert import (BeamVector, CovertnessSpec, NoiseUncertainty, PassGeomet
 from passcovert.channel import beam_gain
 from passcovert.detection import covert_power_rate
 
+from detection_reference import five_branch
+
 NU = NoiseUncertainty(1e-10, 10**0.2)  # -70 dBm nominal, 2 dB bound
 
 
@@ -73,21 +75,6 @@ def test_total_error_rate_rejects_bad_inputs():
         total_error_rate(1e-10, -1e-12, NU)
 
 
-def _five_branch(gamma, s, nu):
-    """Piecewise total-error-rate form; valid when s < nominal*(delta - 1/delta)."""
-    lo, hi = nu.support
-    two_ln = 2.0 * np.log(nu.delta)
-    if gamma < lo:
-        return 1.0
-    if gamma < lo + s:
-        return np.log(nu.delta * nu.nominal / gamma) / two_ln
-    if gamma < hi:
-        return np.log(nu.delta**2 * (1.0 - s / gamma)) / two_ln
-    if gamma < hi + s:
-        return np.log(nu.delta * (gamma - s) / nu.nominal) / two_ln
-    return 1.0
-
-
 def test_five_branch_equivalence(rng):
     # in-regime points: the middle branch exists only when s < nominal*(delta-1/delta)
     s_cap = NU.nominal * (NU.delta - 1.0 / NU.delta)
@@ -96,7 +83,7 @@ def test_five_branch_equivalence(rng):
         s = rng.uniform(0.0, s_cap * 0.999)
         gamma = rng.uniform(lo * 0.5, hi + s * 1.5)
         assert total_error_rate(gamma, s, NU) == pytest.approx(
-            _five_branch(gamma, s, NU), abs=1e-12)
+            five_branch(gamma, s, NU), abs=1e-12)
 
 
 def _grid_min(s, nu, n=100_000):

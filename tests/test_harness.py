@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from passcovert import ExperimentConfig, config_from_dict, load_config
-from passcovert.harness import (SCHEMES, SweepRecord, mean_rates, read_records,
-                                records_to_csv, records_to_json, run_convergence,
-                                run_sweep, sample_scenarios, trial_seed)
+from passcovert.harness import (CSV_HEADER, SCHEMES, SweepRecord, mean_rates,
+                                read_records, records_to_csv, records_to_json,
+                                run_convergence, run_sweep, sample_scenarios, trial_seed)
 
 
 def _small_config(**over):
@@ -207,12 +207,25 @@ def test_emit_empty_csv(tmp_path):
                                 "covert_rate_bps_hz,p_opt_watts,seed\n")
 
 
-def test_read_records_rejects_empty_csv(tmp_path):
-    # an empty file once raised a bare IndexError
-    path = tmp_path / "empty.csv"
-    path.write_text("")
-    with pytest.raises(ValueError, match="empty.csv"):
-        read_records(path, "csv")
+_JSON_ROW = ('"scheme": "swsp", "sweep_variable": "none", "sweep_value": 0, "trial": 0, '
+             '"covert_rate_bps_hz": 1.5, "p_opt_watts": 0.5, "seed": 7')
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("csv", ""),
+    ("csv", ",".join(CSV_HEADER) + "\nswsp,none\n"),
+    ("csv", ",".join(CSV_HEADER) + "\nswsp,none,0,0,1.5,0.5,7,8\n"),
+    ("json", "[{" + _JSON_ROW.replace(', "seed": 7', "") + "}]"),
+    ("json", "{" + _JSON_ROW + "}"),
+    ("json", "[1, 2]"),
+], ids=["empty_csv", "short_row", "long_row", "missing_key", "json_object", "json_numbers"])
+def test_read_records_rejects_malformed_file(tmp_path, fmt, text):
+    # these once raised a bare IndexError, KeyError or TypeError, or (the long
+    # row) dropped the extra field and were read
+    path = tmp_path / f"bad.{fmt}"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"bad.{fmt}"):
+        read_records(path, fmt)
 
 
 def test_emit_json_round_trip(tmp_path):

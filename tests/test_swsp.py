@@ -5,9 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from passcovert import (CovertnessInfeasibleError, CovertnessSpec, ExperimentConfig,
-                        NoiseUncertainty, Scenario, WillieUncertainty, achievable_rate,
-                        forbidden_zone, harness, optimal_detection, optimal_position)
+from passcovert import (CovertnessSpec, ExperimentConfig, NoiseUncertainty, Scenario,
+                        WillieUncertainty, achievable_rate, forbidden_zone, harness,
+                        optimal_detection, optimal_position)
 from passcovert.geometry import PassGeometry
 from passcovert.swsp import _positions_at, _rates, _search, rate_trace, solve
 
@@ -93,10 +93,13 @@ def test_zone_monotone_in_power(rng):
         assert z2.interval[1] >= z1.interval[1] - 1e-12
 
 
-def test_zone_rho_zero_rejected():
-    sc = _scenario(rho=0.0)
-    with pytest.raises(CovertnessInfeasibleError):
-        forbidden_zone(0.5, sc)
+@pytest.mark.parametrize("rho", [0.0, 1e-300])
+def test_zone_rho_zero_is_endless(rho):
+    # a zero warden gain budget forbids every position at any positive power;
+    # rho_w = 0 once took its own path and raised
+    sc = _scenario(rho=rho)
+    assert forbidden_zone(0.5, sc).interval == (-np.inf, np.inf)
+    assert optimal_position(0.5, sc) is None
     assert forbidden_zone(0.0, sc).interval is None
 
 
@@ -199,7 +202,8 @@ def test_solve_rho_zero_infeasible():
 
 def test_rate_trace_monotone():
     sc = _scenario()
-    trace = rate_trace(sc, sc.p_max / 5000.0)
+    powers, trace = rate_trace(sc, sc.p_max / 5000.0)
+    assert np.array_equal(powers, sc.p_max / 5000.0 * np.arange(1, trace.size + 1))
     assert np.all(np.diff(trace) >= 0.0)
     assert trace[-1] == pytest.approx(solve(sc, sc.p_max / 5000.0).rate, rel=1e-12)
 
