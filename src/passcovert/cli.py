@@ -6,11 +6,12 @@ import argparse
 import dataclasses
 import functools
 import sys
+import warnings
 from collections.abc import Iterable, Iterator
 
 import numpy as np
 
-from . import harness, mwmp, swsp
+from . import harness
 from .channel import beam_pattern_grid
 from .config import ExperimentConfig, load_config
 from .geometry import BeamVector, PinchLayout
@@ -101,16 +102,11 @@ def _emit_records(records, args) -> None:
 
 def _solved_beam(config: ExperimentConfig, case: str):
     """Layout and full beamformer of the solved instance for pattern export."""
-    if case == "swsp":
-        sc = config.scenario("swsp")
-        sol = swsp.solve(sc, config.delta_p())  # p_opt is 0 exactly when infeasible
-        x, w, power = [sol.x_opt], np.ones(1, dtype=complex), sol.p_opt
-    else:
-        sc = config.scenario("mwmp")
-        sol = mwmp.solve(sc, config.pso_params(), k=config.willie_samples_k)
-        x, w, power = sol.x_init, sol.w_tilde, sol.power
+    sc = config.scenario(case)
+    _, power, sol = harness.solve_scheme(case, sc, config, config.seed)
     if not power > 0.0:  # a zero-power beam has no pattern to normalize
         raise ValueError("configured instance allows no covert power; no pattern")
+    x, w = ([sol.x_opt], [1.0]) if case == "swsp" else (sol.x_init, sol.w_tilde)
     return sc, PinchLayout(sc.geom, x), BeamVector(w, power)
 
 
@@ -145,30 +141,36 @@ def _pattern_csv(config: ExperimentConfig, case: str) -> Iterator[str]:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        config = _load(args)
-        if args.command in _SINGLE_SCHEMES:
-            # swsp never builds the multi-waveguide geometry, so its checks
-            # (e.g. on wg_spacing_m) cannot fail a swsp solve
-            sc = config.scenario("swsp" if args.command == "swsp" else "mwmp")
-            records = []
-            for scheme in _SINGLE_SCHEMES[args.command]:
-                rate, power = harness.solve_scheme(scheme, sc, config, config.seed)
-                records.append(harness.SweepRecord(scheme, "none", 0.0, 0, rate, power,
-                                                   config.seed))
-            _emit_records(records, args)
-        elif args.command == "sweep":
-            values, schemes = _split(args.values), _split(args.schemes)
-            records = harness.run_sweep(config, args.variable, values, schemes)
-            _emit_records(records, args)
-        elif args.command == "pattern":
-            if args.format != "csv":
-                raise ValueError(f"pattern output is CSV only, got --format {args.format}")
-            _write(_pattern_csv(config, args.case), args.out)
-        elif args.command == "converge":
-            _emit_records(harness.run_convergence(config, args.case), args)
+        # numpy's overflow, divide-by-zero and invalid warnings end here, not in nan rows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            args = build_parser().parse_args(argv)
+            config = _load(args)
+            if args.command in _SINGLE_SCHEMES:
+                # swsp never builds the multi-waveguide geometry, so its checks
+                # (e.g. on wg_spacing_m) cannot fail a swsp solve
+                sc = config.scenario("swsp" if args.command == "swsp" else "mwmp")
+                records = []
+                for scheme in _SINGLE_SCHEMES[args.command]:
+                    rate, power, _ = harness.solve_scheme(scheme, sc, config, config.seed)
+                    records.append(harness.SweepRecord(scheme, "none", 0.0, 0, rate, power,
+                                                       config.seed))
+                _emit_records(records, args)
+            elif args.command == "sweep":
+                values, schemes = _split(args.values), _split(args.schemes)
+                records = harness.run_sweep(config, args.variable, values, schemes)
+                _emit_records(records, args)
+            elif args.command == "pattern":
+                if args.format != "csv":
+                    raise ValueError(f"pattern output is CSV only, got --format {args.format}")
+                _write(_pattern_csv(config, args.case), args.out)
+            elif args.command == "converge":
+                _emit_records(harness.run_convergence(config, args.case), args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (ArithmeticError, RuntimeWarning) as exc:
+        print(f"error: numeric fault: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         # e.g. a convergence trace over a power grid too fine to hold in memory

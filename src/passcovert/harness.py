@@ -74,22 +74,22 @@ def _apply_sweep_value(sc: Scenario, variable: str, value: float) -> Scenario:
     return dataclasses.replace(sc, willie=WillieUncertainty(sc.willie.center, value))
 
 
-def solve_scheme(scheme: str, sc: Scenario, config: ExperimentConfig,
-                 seed: int) -> tuple[float, float]:
-    """(covert rate, transmit power) of one scheme on one scenario."""
+def solve_scheme(scheme: str, sc: Scenario, config: ExperimentConfig, seed: int):
+    """(covert rate, transmit power, solver result) of one scheme on one scenario;
+    the result is a ``SwspSolution``, ``MwmpSolution`` or ``BenchmarkResult``."""
     if scheme == "swsp":
         swsp_sc = dataclasses.replace(sc, geom=config.geometry_swsp())
         # fixed absolute resolution: under a budget sweep the candidate power
         # grids stay nested, so the rate is exactly monotone in the budget
         sol = swsp.solve(swsp_sc, config.delta_p())
-        return sol.rate, sol.p_opt
+        return sol.rate, sol.p_opt, sol
     if scheme == "mwmp":
         sol = mwmp.solve(sc, config.pso_params(seed), k=config.willie_samples_k)
-        return sol.rate, sol.power
+        return sol.rate, sol.power, sol
     if scheme in (k.value for k in benchmarks.BenchmarkKind):
         res = benchmarks.evaluate(benchmarks.BenchmarkKind(scheme), sc,
                                   k=config.willie_samples_k)
-        return res.rate, res.power
+        return res.rate, res.power, res
     raise ValueError(f"unknown scheme {scheme!r}; valid schemes: " + ", ".join(SCHEMES))
 
 
@@ -125,7 +125,7 @@ def run_sweep(config: ExperimentConfig, variable: str, values,
         swept = [_apply_sweep_value(base, variable, value) for base in scenarios]
         for scheme in schemes:
             for trial, (sc, seed) in enumerate(zip(swept, seeds)):
-                rate, power = solve_scheme(scheme, sc, config, seed)
+                rate, power, _ = solve_scheme(scheme, sc, config, seed)
                 records.append(SweepRecord(scheme, variable, value, trial,
                                            rate, power, seed))
     return records
@@ -156,10 +156,8 @@ def run_convergence(config: ExperimentConfig, case: str) -> list[SweepRecord]:
         if config.converge_inits < 1:
             raise ValueError(f"converge_inits must be at least 1, got {config.converge_inits}")
         sc = config.scenario("mwmp")
-        traces = []
-        for i in range(config.converge_inits):
-            params = config.pso_params(trial_seed(config.seed, i))
-            traces.append(mwmp.solve(sc, params, k=config.willie_samples_k).trace)
+        traces = [solve_scheme("mwmp", sc, config, trial_seed(config.seed, i))[2].trace
+                  for i in range(config.converge_inits)]
         mean = np.mean(np.stack(traces), axis=0)
         return [SweepRecord("mwmp", "iteration", float(t + 1), -1, float(mean[t]),
                             0.0, config.seed)
@@ -203,7 +201,10 @@ def read_records(path, fmt: str = "csv") -> list[SweepRecord]:
             raise ValueError(f"missing or unexpected CSV header in {path}")
         rows = [ln.split(",") for ln in lines[1:]]
     elif fmt == "json":
-        rows = json.loads(text)
+        try:
+            rows = json.loads(text)
+        except ValueError as exc:
+            raise ValueError(f"invalid JSON in {path}: {exc}") from None
         if not isinstance(rows, list):
             raise ValueError(f"expected a JSON list of records in {path}")
     else:
@@ -211,10 +212,27 @@ def read_records(path, fmt: str = "csv") -> list[SweepRecord]:
     out = []
     for i, row in enumerate(rows, 1):
         try:  # a CSV row's fields, or a JSON object's values in CSV_HEADER order
-            fields = row if fmt == "csv" else [row[k] for k in CSV_HEADER]
+            fields = row if fmt == "csv" else _json_fields(row)
             scheme, variable, value, trial, rate, p_opt, seed = fields
             out.append(SweepRecord(scheme, variable, float(value), int(trial),
                                    float(rate), float(p_opt), int(seed)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"malformed record {i} in {path}: {exc!r}") from None
     return out
+
+
+# the JSON types each CSV_HEADER field takes; the writer prints a whole float
+# such as 10.0 as 10, so the float fields take integers too, but no booleans
+_JSON_TYPES = ((str,), (str,), (int, float), (int,), (int, float), (int, float), (int,))
+
+
+def _json_fields(row) -> list:
+    """The values of a JSON record of exactly the CSV_HEADER keys, in that order."""
+    if not isinstance(row, dict) or row.keys() != set(CSV_HEADER):
+        raise ValueError(f"expected an object with the keys {', '.join(CSV_HEADER)}")
+    fields = [row[k] for k in CSV_HEADER]
+    for key, value, kinds in zip(CSV_HEADER, fields, _JSON_TYPES):
+        if type(value) not in kinds:  # type(True) is bool, not int
+            raise ValueError(f"{key} must be {' or '.join(k.__name__ for k in kinds)}, "
+                             f"got {value!r}")
+    return fields

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from passcovert import ExperimentConfig, derive_constants
+from passcovert.config import ExperimentConfig
+from passcovert.constants import derive_constants
 
 
 @pytest.fixture(scope="session")

@@ -9,13 +9,15 @@ import time
 import numpy as np
 import pytest
 
-from passcovert import (CovertnessSpec, ExperimentConfig, NoiseUncertainty,
-                        PassGeometry, PinchLayout, Scenario, WillieUncertainty,
-                        optimal_detection, total_error_rate)
 from passcovert import benchmarks, harness, mwmp, swsp
 from passcovert.channel import _effective_batch
 from passcovert.cli import main as cli_main
-from passcovert.detection import covert_power_rate, worst_case_gain
+from passcovert.config import ExperimentConfig
+from passcovert.detection import (CovertnessSpec, NoiseUncertainty, WillieUncertainty,
+                                  covert_power_rate, optimal_detection, total_error_rate,
+                                  worst_case_gain)
+from passcovert.geometry import PassGeometry, PinchLayout
+from passcovert.scenario import Scenario
 
 from detection_reference import five_branch
 

@@ -5,12 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from passcovert import (BeamVector, CovertnessSpec, ExperimentConfig, NoiseUncertainty,
-                        PassGeometry, Scenario, WillieUncertainty, beam_gain, los_coeff)
 from passcovert.benchmarks import (BenchmarkKind, DegenerateChannelError, evaluate,
                                    heuristic_pass_layout, mrt_weights, ula_channel,
                                    ula_channels, ula_positions, zf_weights)
-from passcovert.geometry import PinchLayout
+from passcovert.channel import beam_gain, los_coeff
+from passcovert.config import ExperimentConfig
+from passcovert.detection import CovertnessSpec, NoiseUncertainty, WillieUncertainty
+from passcovert.geometry import BeamVector, PassGeometry, PinchLayout
+from passcovert.scenario import Scenario
 
 
 def _scenario(bob=(20.0, 6.0), willie=(7.0, -9.0), delta_r=0.5):

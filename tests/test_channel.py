@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from passcovert import (BeamVector, PassGeometry, PinchLayout, derive_constants,
-                        effective_channel_at, freespace_vector, inwg_phase, inwg_vector,
-                        los_coeff)
 from passcovert.channel import (GRID_BLOCK_CELLS, ReceiverTerms, _effective_batch, beam_gain,
-                                beam_pattern_grid)
+                                beam_pattern_grid, effective_channel_at, freespace_vector,
+                                inwg_phase, inwg_vector, los_coeff)
+from passcovert.constants import derive_constants
+from passcovert.geometry import BeamVector, PassGeometry, PinchLayout
 
 
 def test_derive_constants_28ghz(pc28):

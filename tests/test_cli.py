@@ -213,6 +213,8 @@ def test_error_on_unwritable_out(tmp_path, capsys):
 
 
 _SWEEP_ARGS = ["--variable", "power_budget", "--values", "10", "--schemes", "swsp"]
+# h squared underflows to 0 at Bob right under the feed point
+_TINY_HEIGHT = {"height_m": 1e-200, "bob_x_m": 0, "bob_y_m": 0}
 
 
 @pytest.mark.parametrize("command, keys, extra", [
@@ -256,6 +258,24 @@ _SWEEP_ARGS = ["--variable", "power_budget", "--values", "10", "--schemes", "sws
     ("sweep", {}, ["--variable", "power_budget", "--values=10,10.0", "--schemes", "swsp"]),
     ("sweep", {}, ["--variable", "power_budget", "--values=10", "--schemes", "swsp,mwmp,swsp"]),
     ("sweep", {}, ["--variable", "power_budget", "--values=10", "--schemes", "swsp, "]),
+    # finite but extreme values whose distances or dB conversions overflow
+    # once printed nan or inf rows with exit 0, or died in an OverflowError
+    ("swsp", {"bob_y_m": 1e200}, []),
+    ("mwmp", {"bob_y_m": 1e200}, []),
+    ("bench", {"bob_y_m": 1e200}, []),
+    ("mwmp", {"willie_x_m": 1e200}, []),
+    ("bench", {"willie_x_m": 1e200}, []),
+    ("mwmp", {"delta_r_m": 1e300}, []),
+    ("bench", {"delta_r_m": 1e300}, []),
+    ("sweep", {}, ["--variable", "uncertainty_radius", "--values", "1e300",
+                   "--schemes", "mwmp,pass_zf"]),
+    ("swsp", _TINY_HEIGHT, []),
+    ("mwmp", {**_TINY_HEIGHT, "num_waveguides": 1, "pas_per_waveguide": 1}, []),
+    ("bench", {**_TINY_HEIGHT, "num_waveguides": 1, "pas_per_waveguide": 1}, []),
+    ("swsp", {"p_max_dbm": 4000}, []),
+    ("mwmp", {"delta_sigma_db": 4000}, []),
+    ("bench", {"sigma_w_dbm": 4000}, []),
+    ("sweep", {}, ["--variable", "power_budget", "--values", "4000", "--schemes", "swsp"]),
 ], ids=["delta_r_nan", "delta_r_inf", "p_max_inf", "vmax_nan", "n_wg_bool", "n_wg_fraction",
      "values_nan", "wg_stacked", "delta_p_negative", "delta_p_steps_overflow", "samples_k_zero",
      "carrier_underflow", "converge_grid_out_of_memory", "pattern_json", "pattern_res_zero",
@@ -263,7 +283,11 @@ _SWEEP_ARGS = ["--variable", "power_budget", "--values", "10", "--schemes", "sws
      "sweep_height_null", "pattern_height_null", "sweep_trials_null", "sweep_seed_null",
      "swsp_height_text", "mwmp_n_wg_text",
      "sweep_repeats_and_empty_items", "values_trailing_empty_item", "values_repeat",
-     "schemes_repeat", "schemes_trailing_empty_item"])
+     "schemes_repeat", "schemes_trailing_empty_item", "swsp_bob_far", "mwmp_bob_far",
+     "bench_bob_far", "mwmp_willie_far", "bench_willie_far", "mwmp_delta_r_huge",
+     "bench_delta_r_huge", "sweep_delta_r_huge", "swsp_height_tiny", "mwmp_height_tiny_one_pa",
+     "bench_height_tiny_one_pa", "swsp_p_max_overflow", "mwmp_delta_sigma_overflow",
+     "bench_sigma_w_overflow", "sweep_power_budget_overflow"])
 def test_invalid_numeric_inputs_rejected(tmp_path, capsys, command, keys, extra):
     # each of these once printed a nan row, an unsafe full-power rate or a
     # silently coerced setting with exit 0, or died with a traceback

@@ -31,7 +31,13 @@ _KEYS = ("carrier_freq_hz", "n_eff", "height_m", "waveguide_length_m", "num_wave
 _ODD = (None, math.nan, math.inf, -math.inf, True, False, 0, 0.0, -1, -2.5, 0.5, 2.5, 1e-300,
         "3")
 _VALUES = st.one_of(st.sampled_from(_ODD), st.integers(-2, 6), st.floats(-40.0, 40.0))
-_CONFIGS = st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=3)
+# extreme finite floats overflow distances and dB conversions; the integer keys
+# keep _VALUES, where a whole 1e200 would ask for a geometry of 1e200 entries
+_INT_KEYS = ("num_waveguides", "pas_per_waveguide", "willie_samples_k")
+_FLOAT_VALUES = st.one_of(_VALUES, st.sampled_from((1e200, -1e200, 1e-200, 4000.0)))
+_ITEMS = st.sampled_from(_KEYS).flatmap(
+    lambda key: st.tuples(st.just(key), _VALUES if key in _INT_KEYS else _FLOAT_VALUES))
+_CONFIGS = st.lists(_ITEMS, max_size=3, unique_by=lambda item: item[0]).map(dict)
 # a coarse grid and a short swarm keep each pattern example cheap
 _PATTERN_KEYS = {"pattern_res_m": 2.0, "pso_iterations": 5}
 # short swarms, one Monte-Carlo trial and two converge runs keep the solver examples cheap
@@ -142,7 +148,7 @@ def test_mwmp_cli_rows_are_finite_and_covert(tmp_path_factory, keys):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 # values in [0, 1] are valid for every sweep variable; the rest are mostly not
 @given(keys=_CONFIGS, variable=st.sampled_from(harness.SWEEP_VARIABLES),
-       value=st.one_of(st.floats(0.0, 1.0), _VALUES))
+       value=st.one_of(st.floats(0.0, 1.0), _FLOAT_VALUES))
 def test_sweep_cli_rows_are_finite_and_covert(tmp_path_factory, keys, variable, value):
     args = ["sweep", "--variable", variable, f"--values={value}"]  # "-1" is no option
     out = _run(tmp_path_factory.mktemp("sweep"), args, {**keys, **_SOLVER_KEYS})

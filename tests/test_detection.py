@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from passcovert import (BeamVector, CovertnessSpec, NoiseUncertainty, PassGeometry,
-                        PinchLayout, WillieUncertainty, covert_gain_budget, noise_pdf,
-                        optimal_detection, sample_region, total_error_rate,
-                        worst_case_gain)
 from passcovert.channel import beam_gain
-from passcovert.detection import covert_power_rate
+from passcovert.detection import (CovertnessSpec, NoiseUncertainty, WillieUncertainty,
+                                  covert_gain_budget, covert_power_rate, noise_pdf,
+                                  optimal_detection, sample_region, total_error_rate,
+                                  worst_case_gain)
+from passcovert.geometry import BeamVector, PassGeometry, PinchLayout
 
 from detection_reference import five_branch
 

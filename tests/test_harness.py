@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from passcovert import ExperimentConfig, config_from_dict, load_config
+from passcovert.config import ExperimentConfig, config_from_dict, load_config
 from passcovert.harness import (CSV_HEADER, SCHEMES, SweepRecord, mean_rates,
                                 read_records, records_to_csv, records_to_json,
                                 run_convergence, run_sweep, sample_scenarios, trial_seed)
@@ -218,14 +218,32 @@ _JSON_ROW = ('"scheme": "swsp", "sweep_variable": "none", "sweep_value": 0, "tri
     ("json", "[{" + _JSON_ROW.replace(', "seed": 7', "") + "}]"),
     ("json", "{" + _JSON_ROW + "}"),
     ("json", "[1, 2]"),
-], ids=["empty_csv", "short_row", "long_row", "missing_key", "json_object", "json_numbers"])
+    ("json", "[{" + _JSON_ROW.replace('"trial": 0', '"trial": 1.5') + "}]"),
+    ("json", "[{" + _JSON_ROW.replace('"seed": 7', '"seed": 7.9') + "}]"),
+    ("json", "[{" + _JSON_ROW.replace('"trial": 0', '"trial": true') + "}]"),
+    ("json", "[{" + _JSON_ROW.replace('"covert_rate_bps_hz": 1.5',
+                                      '"covert_rate_bps_hz": "nan"') + "}]"),
+    ("json", "[{" + _JSON_ROW.replace('"scheme": "swsp"', '"scheme": 3') + "}]"),
+    ("json", "[{" + _JSON_ROW + ', "extra": 1}]'),
+    ("json", "[{" + _JSON_ROW),
+], ids=["empty_csv", "short_row", "long_row", "missing_key", "json_object", "json_numbers",
+        "trial_fraction", "seed_fraction", "trial_bool", "rate_text", "scheme_number",
+        "extra_key", "invalid_json"])
 def test_read_records_rejects_malformed_file(tmp_path, fmt, text):
-    # these once raised a bare IndexError, KeyError or TypeError, or (the long
-    # row) dropped the extra field and were read
+    # these once raised a bare IndexError, KeyError, TypeError or
+    # JSONDecodeError, or were read after truncating a fraction, taking true as
+    # 1, parsing text as a number or dropping an extra field
     path = tmp_path / f"bad.{fmt}"
     path.write_text(text)
     with pytest.raises(ValueError, match=f"bad.{fmt}"):
         read_records(path, fmt)
+
+
+def test_json_goldens_read_back_to_their_bytes():
+    # the writer prints a whole float such as a budget of 10.0 dBm as 10, which
+    # the reader's type checks must take as a number
+    for path in sorted((Path(__file__).parent / "data").glob("*.json")):
+        assert records_to_json(read_records(path, "json")) == path.read_text(), path.name
 
 
 def test_emit_json_round_trip(tmp_path):
@@ -261,8 +279,9 @@ def test_emitted_rows_revalidate_post_hoc(tmp_path):
     # covertness check; this is the post-hoc validation path for emitted files
     import dataclasses as dc
 
-    from passcovert import BeamVector, PinchLayout, beam_gain
     from passcovert import mwmp, swsp
+    from passcovert.channel import beam_gain
+    from passcovert.geometry import BeamVector, PinchLayout
     from passcovert.harness import _apply_sweep_value, solve_scheme
 
     cfg = _small_config(trials=4, pso_iterations=15)
@@ -274,7 +293,7 @@ def test_emitted_rows_revalidate_post_hoc(tmp_path):
     for row in read_records(path, "csv"):
         base = _apply_sweep_value(scenarios[row.trial], row.sweep_variable,
                                   row.sweep_value)
-        rate, power = solve_scheme(row.scheme, base, cfg, row.seed)
+        rate, power, _ = solve_scheme(row.scheme, base, cfg, row.seed)
         assert rate == row.covert_rate and power == row.p_opt
         gamma_w = base.gain_budget()
         samples = base.willie_samples(cfg.willie_samples_k)

@@ -5,11 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from passcovert import (BeamVector, CovertnessSpec, ExperimentConfig, NoiseUncertainty,
-                        PassGeometry, PinchLayout, Scenario, WillieUncertainty, beam_gain)
 from passcovert import mwmp
-from passcovert.detection import covert_power_rate, sample_region, worst_case_gain
+from passcovert.channel import beam_gain
+from passcovert.config import ExperimentConfig
+from passcovert.detection import (CovertnessSpec, NoiseUncertainty, WillieUncertainty,
+                                  covert_power_rate, sample_region, worst_case_gain)
+from passcovert.geometry import BeamVector, PassGeometry, PinchLayout
 from passcovert.mwmp import PsoParams, init_swarms, solve, step
+from passcovert.scenario import Scenario
 from passcovert.swsp import achievable_rate
 
 

@@ -3,14 +3,20 @@
 The benchmark's smoke test runs it end to end and is not collected here. A
 wrapped name that no longer exists is reported as missing there and silently
 drops its per-layer metric group, so these checks import the benchmark modules
-and look every name up without running anything.
+and look every name up. One check also feeds the benchmark's output checks the
+results of short solves, so a renamed result field fails here too.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from passcovert import harness
+from passcovert.cli import _solved_beam
+from passcovert.config import config_from_dict
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -41,3 +47,23 @@ def test_every_passcovert_name_the_checks_use_exists():
     missing = [f"{module}.{attr}" for module, attr in sorted(used)
                if not hasattr(getattr(checks, module), attr)]
     assert missing == []
+
+
+def test_checks_read_what_solve_scheme_returns():
+    # checks.summarize and checks.pattern_beam read the solver's own result
+    # fields, which fixes the third item of solve_scheme's triple
+    checks = importlib.import_module("checks")
+    config = config_from_dict({"pso_iterations": 5})
+    k = config.willie_samples_k
+    for scheme in harness.SCHEMES:
+        sc = config.scenario("swsp" if scheme == "swsp" else "mwmp")
+        rate, power, result = harness.solve_scheme(scheme, sc, config, config.seed)
+        solved = checks.summarize(scheme, sc, result, k)
+        assert checks.solved_ok(solved)
+        assert (solved.rate, solved.power) == (rate, power)
+    for case in ("swsp", "mwmp"):
+        sc, layout, beam = _solved_beam(config, case)
+        _, _, result = harness.solve_scheme(case, sc, config, config.seed)
+        want_layout, want_beam = checks.pattern_beam(case, sc, result)
+        assert np.array_equal(layout.x_init, want_layout.x_init)
+        assert np.array_equal(beam.weights, want_beam.weights)

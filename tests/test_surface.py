@@ -77,3 +77,11 @@ def test_oracles_exist_and_stay_uncalled():
     defined = {qualified for _, qualified, _ in _public_definitions()}
     assert set(ORACLES) <= defined
     assert set(ORACLES) & _program_names() == set()
+
+
+def test_package_init_reexports_nothing():
+    # callers import each name from the module that defines it, so the
+    # package offers one route to every name
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert [node for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []

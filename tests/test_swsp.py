@@ -5,11 +5,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from passcovert import (CovertnessSpec, ExperimentConfig, NoiseUncertainty, Scenario,
-                        WillieUncertainty, achievable_rate, forbidden_zone, harness,
-                        optimal_detection, optimal_position)
+from passcovert import harness
+from passcovert.config import ExperimentConfig
+from passcovert.detection import (CovertnessSpec, NoiseUncertainty, WillieUncertainty,
+                                  optimal_detection)
 from passcovert.geometry import PassGeometry
-from passcovert.swsp import _positions_at, _rates, _search, rate_trace, solve
+from passcovert.scenario import Scenario
+from passcovert.swsp import (_positions_at, _rates, _search, achievable_rate, forbidden_zone,
+                             optimal_position, rate_trace, solve)
 
 
 def _scenario(bob=(20.0, 6.0), willie=(7.0, -9.0), rho=0.1, delta_r=0.5,
