@@ -110,6 +110,95 @@ def _solved_beam(config: ExperimentConfig, case: str):
     return sc, PinchLayout(sc.geom, x), BeamVector(w, power)
 
 
+# 2**27 + 1: Veltkamp's constant, which splits a double into two halves of at
+# most 26 significant bits each, so that products of halves are exact
+_VELTKAMP = 134217729.0
+# 10**(17 + z) for z = 0..3 zeros after "0.", each exact in a double, and
+# its Veltkamp halves
+_SCALES = np.array([float(10**k) for k in range(17, 21)])
+# two ASCII digits per uint16, written at even byte offsets: entries 0-99
+# are "00".."99", entries 100-199 the same pairs with trailing zeros as 0 bytes
+_DIGIT_PAIRS = np.frombuffer(
+    "".join(f"{i:02d}" for i in range(100)).encode()
+    + b"".join(f"{i:02d}".rstrip("0").encode().ljust(2, b"\0") for i in range(100)),
+    np.uint16)
+# "0." and z = 0..3 zeros, right-aligned in the 5 bytes before the digits
+_FIXED_PREFIX = np.array([list(("0." + "0" * z).encode().rjust(5, b"\0")) for z in range(4)],
+                         np.uint8)
+# bytes per value in a block: prefix 0-4, 17 digits 5-21, separator 22, 0 at 23
+_SLOT = 24
+# about how many pattern cells are formatted at once: a whole number of grid
+# rows, whose arrays and texts take about 350 KB (tracemalloc) at 2,048 cells
+_PATTERN_BLOCK_CELLS = 2048
+
+
+def _veltkamp(a):
+    """Veltkamp's split: ``hi + lo == a`` with each half of at most 26 bits."""
+    c = _VELTKAMP * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_SCALE_HI, _SCALE_LO = _veltkamp(_SCALES)
+
+
+def _digits17(v: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``v * 10**(17 + z)`` rounded to the nearest integer, ties to even.
+
+    Dekker's two-product gives the product exactly as ``hi + lo``. Where it
+    reaches 17 digits, ``hi`` is at least 2**53 and so an even integer, and
+    rounding ``lo`` half to even rounds the whole sum half to even: the rule
+    of CPython's correctly rounded ``'%.17g'``.
+    """
+    vhi, vlo = _veltkamp(v)
+    shi, slo = _SCALE_HI[z], _SCALE_LO[z]
+    hi = v * _SCALES[z]
+    lo = ((vhi * shi - hi) + vhi * slo + vlo * shi) + vlo * slo
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _format_g17(values: np.ndarray) -> list[str]:
+    """``'%.17g' % v`` for each value of a 1-D float array, byte for byte.
+
+    A value in [1e-4, 1) prints as "0.", z = 0..3 zeros and its 17
+    significant digits less trailing zeros; those are written for the whole
+    array at once into a uint8 block whose 0 bytes are dropped. Any other
+    value, or one whose 17 digits round out of that range, is formatted by
+    ``'%.17g'`` itself.
+    """
+    fast = (values >= 1e-4) & (values < 1.0)
+    v = np.where(fast, values, 0.5)  # no log10 of 0 and no cast of inf below
+    z = np.clip(-1 - np.floor(np.log10(v)).astype(np.intp), 0, 3)
+    n = _digits17(v, z)
+    # log10 may miss by one beside a power of 10, and the rounding may carry
+    # into an 18th digit: both show as n outside [1e16, 1e17)
+    shift = (n < 10**16).astype(np.intp) - (n >= 10**17)
+    if shift.any():
+        z += shift
+        n = _digits17(v, np.clip(z, 0, 3))
+        fast &= (z >= 0) & (z <= 3) & (n >= 10**16) & (n < 10**17)
+        z = np.clip(z, 0, 3)
+    block = np.zeros((len(values), _SLOT), np.uint8)
+    block[:, :5] = _FIXED_PREFIX[z]
+    pairs = block.view(np.uint16)  # pair j holds bytes 2j and 2j + 1
+    trailing = np.full(len(values), 100)  # 100 while every lower digit is 0
+    for j in range(10, 2, -1):
+        q = n // 100
+        r = n - 100 * q
+        pairs[:, j] = _DIGIT_PAIRS[r + trailing]
+        trailing[r != 0] = 0
+        n = q
+    block[:, 5] = n + ord("0")
+    block[~fast] = 0
+    block[:, 22] = ord("\n")
+    texts = block[block != 0].tobytes().decode("ascii").split("\n")
+    texts.pop()  # the empty text after the last separator
+    slow = np.flatnonzero(~fast)
+    for i, value in zip(slow.tolist(), values[slow].tolist()):
+        texts[i] = "%.17g" % value
+    return texts
+
+
 def _pattern_csv(config: ExperimentConfig, case: str) -> Iterator[str]:
     """The pattern CSV as an iterator of grid rows of text.
 
@@ -126,15 +215,18 @@ def _pattern_csv(config: ExperimentConfig, case: str) -> Iterator[str]:
     xs = np.linspace(0.0, sc.geom.length, round(sc.geom.length / res) + 1)
     ys = np.linspace(-half, half, round(2.0 * half / res) + 1)
     grid = beam_pattern_grid(layout, beam, xs, ys, sc.pc)
-    # one "%" per grid row fills a template holding every y of the row; the
-    # gains go through the same .17g conversion as a per-cell f-string would
-    tails = [f",{y:.17g},%.17g\n" for y in ys]
+    # one "%" per grid row fills a template holding every y of the row with
+    # the row's gain texts, formatted a block of rows at a time
+    tails = [f",{y:.17g},%s\n" for y in ys]
+    step = max(1, _PATTERN_BLOCK_CELLS // len(ys))
 
     def rows():
         yield "x,y,gain_normalized\n"
-        for x, gains in zip(xs, grid):
-            head = f"{x:.17g}"
-            yield (head + head.join(tails)) % tuple(gains.tolist())
+        for start in range(0, len(xs), step):
+            texts = _format_g17(grid[start:start + step].ravel())
+            for i, x in enumerate(xs[start:start + step].tolist()):
+                head = f"{x:.17g}"
+                yield (head + head.join(tails)) % tuple(texts[i * len(ys):(i + 1) * len(ys)])
 
     return rows()
 

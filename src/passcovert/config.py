@@ -74,19 +74,19 @@ class ExperimentConfig:
 
     @property
     def p_max_watts(self) -> float:
-        return dbm_to_watts(self.p_max_dbm)
+        return dbm_to_watts(self.p_max_dbm, "p_max_dbm")
 
     @property
     def sigma_b_sq_watts(self) -> float:
-        return dbm_to_watts(self.sigma_b_dbm)
+        return dbm_to_watts(self.sigma_b_dbm, "sigma_b_dbm")
 
     @property
     def sigma_w_sq_watts(self) -> float:
-        return dbm_to_watts(self.sigma_w_dbm)
+        return dbm_to_watts(self.sigma_w_dbm, "sigma_w_dbm")
 
     @property
     def delta_sigma(self) -> float:
-        return db_to_linear(self.delta_sigma_db)
+        return db_to_linear(self.delta_sigma_db, "delta_sigma_db")
 
     def phys_constants(self) -> PhysConstants:
         return derive_constants(self.carrier_freq_hz, self.n_eff)

@@ -41,9 +41,15 @@ def derive_constants(carrier_freq: float, n_eff: float = 1.4) -> PhysConstants:
     return PhysConstants(carrier_freq, n_eff, wavelength, guided_wavelength, k_c, k_g, eta)
 
 
-def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** (dbm / 10.0) * 1e-3
+def dbm_to_watts(dbm: float, name: str = "power") -> float:
+    return db_to_linear(dbm, name) * 1e-3
 
 
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+def db_to_linear(db: float, name: str) -> float:
+    """``10 ** (db / 10)``; an overflow names ``name``, the key or sweep
+    variable that holds ``db``."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise OverflowError(f"{name} = {db!r} overflows the conversion from dB "
+                            f"to linear") from None

@@ -70,7 +70,7 @@ def _apply_sweep_value(sc: Scenario, variable: str, value: float) -> Scenario:
     if variable == "target_error_rate":
         return dataclasses.replace(sc, covertness=CovertnessSpec(1.0 - value))
     if variable == "power_budget":
-        return dataclasses.replace(sc, p_max=dbm_to_watts(value))
+        return dataclasses.replace(sc, p_max=dbm_to_watts(value, "power_budget sweep value"))
     return dataclasses.replace(sc, willie=WillieUncertainty(sc.willie.center, value))
 
 
@@ -194,7 +194,10 @@ def records_to_json(records) -> str:
 def read_records(path, fmt: str = "csv") -> list[SweepRecord]:
     """Parse a file of :func:`records_to_csv` or :func:`records_to_json` text."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
     if fmt == "csv":
         lines = [ln for ln in text.splitlines() if ln]
         if lines[:1] != [",".join(CSV_HEADER)]:

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, determinism, error reporting."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -83,6 +84,25 @@ def test_pattern_matches_golden(tmp_path, case):
     assert main(["pattern", "--config", str(cfg), "--case", case, "--out", str(out)]) == 0
     golden = Path(__file__).parent / "data" / f"golden_pattern_{case}.csv"
     assert out.read_bytes() == golden.read_bytes()
+
+
+# sha256 of the full pattern CSVs (12.5 MB each) on the benchmark's 501 x 481
+# grid at the default Bob and warden positions; the mwmp map holds 7,866 cells
+# below 1e-4, 1.0 at its peak and the rest in [1e-4, 1)
+_FULL_PATTERN_SHA256 = {
+    "swsp": "29180eab9ce04b6270b6ab0eeca2f02c8f2f63b4ac3e5b3cad4bcc737dbe5de4",
+    "mwmp": "62660f9f84aa045b1d674580b8cc564f28133ab600cf147afb79cfe408983924",
+}
+
+
+@pytest.mark.parametrize("case", ["swsp", "mwmp"])
+def test_full_size_pattern_matches_digest(tmp_path, case):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pattern_res_m": 0.05, "pattern_y_halfwidth_m": 12,
+                               "bob_x_m": 20, "bob_y_m": 6, "willie_x_m": 7, "willie_y_m": -9}))
+    out = tmp_path / "pattern.csv"
+    assert main(["pattern", "--config", str(cfg), "--case", case, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _FULL_PATTERN_SHA256[case]
 
 
 @pytest.mark.parametrize("command", ["swsp", "mwmp", "bench"])
@@ -297,6 +317,22 @@ def test_invalid_numeric_inputs_rejected(tmp_path, capsys, command, keys, extra)
     assert captured.out == ""
     err_lines = [ln for ln in captured.err.splitlines() if ln]
     assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("keys, extra, name", [
+    ({"p_max_dbm": 4000}, [], "p_max_dbm"),
+    ({"sigma_b_dbm": 4000}, [], "sigma_b_dbm"),
+    ({"sigma_w_dbm": 4000}, [], "sigma_w_dbm"),
+    ({"delta_sigma_db": 4000}, [], "delta_sigma_db"),
+    ({}, ["--variable", "power_budget", "--values", "4000", "--schemes", "swsp"], "power_budget"),
+])
+def test_db_overflow_names_its_source(tmp_path, capsys, keys, extra, name):
+    # the error line once read only "numeric fault: (34, 'Numerical result out of range')"
+    command = "sweep" if extra else "swsp"
+    assert main([command, "--config", _config_file(tmp_path, **keys)] + extra) == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+    assert name in err_lines[0] and "dB to linear" in err_lines[0]
 
 
 def test_rho_zero_takes_the_general_path(tmp_path, capsys):

@@ -10,6 +10,7 @@ import dataclasses
 import io
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from passcovert import benchmarks, harness, mwmp, swsp
 from passcovert.channel import beam_gain, beam_pattern_grid
-from passcovert.cli import _solved_beam, main
+from passcovert.cli import _format_g17, _solved_beam, main
 from passcovert.config import config_from_dict
 from passcovert.geometry import PinchLayout
 
@@ -217,3 +218,44 @@ def test_pattern_cli_rows_match_library_grid(tmp_path_factory, case, keys):
     grid = beam_pattern_grid(layout, beam, xs, ys, sc.pc)
     assert np.array_equal(cells[:, 2], grid.ravel())
     assert grid.max() == 1.0
+
+
+def _matches_percent_g17(values) -> bool:
+    values = np.asarray(values, dtype=float)
+    return _format_g17(values) == ["%.17g" % v for v in values.tolist()]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(0.0, 1.0, allow_subnormal=True), min_size=1, max_size=64))
+def test_gain_formatter_matches_percent_g17(values):
+    assert _matches_percent_g17(values)
+
+
+def _ulps_around(x: float, ulps: int = 40) -> np.ndarray:
+    """The 2 * ulps + 1 doubles centred on the positive double x."""
+    return (np.array([x]).view(np.int64) + np.arange(-ulps, ulps + 1)).view(float)
+
+
+def test_gain_formatter_matches_percent_g17_at_edges():
+    rng = np.random.default_rng(2024)
+    # random bit patterns with the sign cleared and the biased exponent folded
+    # into 0..1022, so every binade of [0, 1) is hit, subnormals included
+    bits = rng.integers(0, 2**63, 20_000, dtype=np.uint64)
+    exponent = (bits >> np.uint64(52)) % np.uint64(1023)
+    folded = ((bits & np.uint64(2**52 - 1)) | (exponent << np.uint64(52))).view(float)
+    # the binades of the fixed-notation range, where the digits are computed
+    uniform = 10.0 ** rng.uniform(-4.0, 0.0, 20_000)
+    edges = np.concatenate([_ulps_around(float(f"1e{k}")) for k in range(-6, 1)]
+                           + [_ulps_around(1e-4)])
+    # odd m / 2**(18 + z) in [10**-(z + 1), 10**-z) has exactly 18 significant
+    # digits ending in 5: a tie at 17 digits, which rounds half to even
+    ties = []
+    for z in range(4):
+        lo, hi = math.ceil(2.0 ** (18 + z) / 10 ** (z + 1)), 2 ** (18 + z) // 10**z
+        odd = rng.integers(lo // 2, hi // 2, 2_000) * 2 + 1
+        ties.append(odd / 2.0 ** (18 + z))
+    ties = np.concatenate(ties)
+    assert all(len(Decimal(t).as_tuple().digits) == 18 for t in ties.tolist())
+    specials = [0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0), 0.5, 2.0**-18]
+    for values in (folded, uniform, edges, ties, specials):
+        assert _matches_percent_g17(values)

@@ -226,15 +226,17 @@ _JSON_ROW = ('"scheme": "swsp", "sweep_variable": "none", "sweep_value": 0, "tri
     ("json", "[{" + _JSON_ROW.replace('"scheme": "swsp"', '"scheme": 3') + "}]"),
     ("json", "[{" + _JSON_ROW + ', "extra": 1}]'),
     ("json", "[{" + _JSON_ROW),
+    ("csv", b"\xff\xfe"),
+    ("json", b"\xff\xfe"),
 ], ids=["empty_csv", "short_row", "long_row", "missing_key", "json_object", "json_numbers",
         "trial_fraction", "seed_fraction", "trial_bool", "rate_text", "scheme_number",
-        "extra_key", "invalid_json"])
+        "extra_key", "invalid_json", "csv_not_utf8", "json_not_utf8"])
 def test_read_records_rejects_malformed_file(tmp_path, fmt, text):
-    # these once raised a bare IndexError, KeyError, TypeError or
-    # JSONDecodeError, or were read after truncating a fraction, taking true as
-    # 1, parsing text as a number or dropping an extra field
+    # these once raised a bare IndexError, KeyError, TypeError,
+    # JSONDecodeError or UnicodeDecodeError, or were read after truncating a
+    # fraction, taking true as 1, parsing text as a number or dropping an extra field
     path = tmp_path / f"bad.{fmt}"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ValueError, match=f"bad.{fmt}"):
         read_records(path, fmt)
 
