@@ -163,21 +163,16 @@ def _format_g17(values: np.ndarray) -> list[str]:
     A value in [1e-4, 1) prints as "0.", z = 0..3 zeros and its 17
     significant digits less trailing zeros; those are written for the whole
     array at once into a uint8 block whose 0 bytes are dropped. Any other
-    value, or one whose 17 digits round out of that range, is formatted by
-    ``'%.17g'`` itself.
+    value is formatted by ``'%.17g'`` itself.
     """
     fast = (values >= 1e-4) & (values < 1.0)
-    v = np.where(fast, values, 0.5)  # no log10 of 0 and no cast of inf below
-    z = np.clip(-1 - np.floor(np.log10(v)).astype(np.intp), 0, 3)
+    v = np.where(fast, values, 0.5)  # no cast of inf or nan to int64 below
+    # exact: the doubles 0.1, 0.01, 0.001 and 1e-4 bounding z = 0..3 from below
+    # lie above 10**-(z + 1), so v * 10**(17 + z) >= 10**16; the largest double
+    # below 1, 0.1, 0.01 and 0.001, times 10**(17 + z), lies 11.1, 8.3, 15.3 and
+    # 19.6 below 10**17, so the rounding never carries into an 18th digit
+    z = (v < 0.1).astype(np.intp) + (v < 0.01) + (v < 0.001)
     n = _digits17(v, z)
-    # log10 may miss by one beside a power of 10, and the rounding may carry
-    # into an 18th digit: both show as n outside [1e16, 1e17)
-    shift = (n < 10**16).astype(np.intp) - (n >= 10**17)
-    if shift.any():
-        z += shift
-        n = _digits17(v, np.clip(z, 0, 3))
-        fast &= (z >= 0) & (z <= 3) & (n >= 10**16) & (n < 10**17)
-        z = np.clip(z, 0, 3)
     block = np.zeros((len(values), _SLOT), np.uint8)
     block[:, :5] = _FIXED_PREFIX[z]
     pairs = block.view(np.uint16)  # pair j holds bytes 2j and 2j + 1

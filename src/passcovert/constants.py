@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 SPEED_OF_LIGHT = 2.998e8  # m/s
@@ -10,18 +11,15 @@ SPEED_OF_LIGHT = 2.998e8  # m/s
 
 @dataclass(frozen=True)
 class PhysConstants:
-    """Free-space/in-waveguide wavelengths, wavenumbers and the path-gain constant."""
+    """Free-space wavelength, the two wavenumbers and the path-gain constant."""
 
-    carrier_freq: float  # Hz
-    n_eff: float  # effective refractive index of the dielectric waveguide
     wavelength: float  # m
-    guided_wavelength: float  # m
     k_c: float  # rad/m, free-space wavenumber
     k_g: float  # rad/m, in-waveguide wavenumber
     eta: float  # m^2, wavelength**2 / (16 pi^2)
 
 
-def derive_constants(carrier_freq: float, n_eff: float = 1.4) -> PhysConstants:
+def derive_constants(carrier_freq: float, n_eff: float) -> PhysConstants:
     """Build :class:`PhysConstants` from carrier frequency and refractive index."""
     if not (math.isfinite(carrier_freq) and carrier_freq > 0.0):
         raise ValueError(f"carrier frequency must be a finite positive number, got {carrier_freq}")
@@ -38,18 +36,23 @@ def derive_constants(carrier_freq: float, n_eff: float = 1.4) -> PhysConstants:
     if not all(0.0 < v < math.inf for v in (wavelength, guided_wavelength, k_c, k_g, eta)):
         raise ValueError(f"carrier frequency {carrier_freq} Hz and index {n_eff} give "
                          f"constants that are zero or overflow")
-    return PhysConstants(carrier_freq, n_eff, wavelength, guided_wavelength, k_c, k_g, eta)
+    return PhysConstants(wavelength, k_c, k_g, eta)
 
 
 def dbm_to_watts(dbm: float, name: str = "power") -> float:
-    return db_to_linear(dbm, name) * 1e-3
+    return _normal(db_to_linear(dbm, name) * 1e-3, dbm, name)
 
 
 def db_to_linear(db: float, name: str) -> float:
-    """``10 ** (db / 10)``; an overflow names ``name``, the key or sweep
-    variable that holds ``db``."""
+    """``10 ** (db / 10)``; an overflow, or a result that is not a positive
+    normal float, names ``name``, the key or sweep variable that holds ``db``."""
     try:
-        return 10.0 ** (db / 10.0)
+        return _normal(10.0 ** (db / 10.0), db, name)
     except OverflowError:
-        raise OverflowError(f"{name} = {db!r} overflows the conversion from dB "
-                            f"to linear") from None
+        raise OverflowError(f"{name} = {db!r} overflows the conversion from dB to linear") from None
+
+
+def _normal(linear: float, db: float, name: str) -> float:
+    if linear < sys.float_info.min:  # 0 or subnormal: a budget of 0 or a few ulps
+        raise FloatingPointError(f"{name} = {db!r} underflows the conversion from dB to linear")
+    return linear

@@ -14,7 +14,6 @@ def test_derive_constants_28ghz(pc28):
     assert pc28.wavelength == pytest.approx(1.0707142857e-2, rel=1e-9)
     assert pc28.eta == pytest.approx(7.259846969563669e-07, rel=1e-12)
     assert pc28.k_g == pytest.approx(1.4 * pc28.k_c, rel=1e-12)
-    assert pc28.guided_wavelength == pytest.approx(pc28.wavelength / 1.4, rel=1e-12)
 
 
 def test_derive_constants_identity_index():
@@ -24,14 +23,14 @@ def test_derive_constants_identity_index():
 
 def test_derive_constants_eta_scaling():
     # eta ~ lambda^2 ~ 1/f^2, so doubling f quarters eta
-    a = derive_constants(10e9)
-    b = derive_constants(20e9)
+    a = derive_constants(10e9, 1.4)
+    b = derive_constants(20e9, 1.4)
     assert b.eta == pytest.approx(a.eta / 4.0, rel=1e-12)
 
 
 def test_derive_constants_rejects_bad_args():
     with pytest.raises(ValueError):
-        derive_constants(0.0)
+        derive_constants(0.0, 1.4)
     with pytest.raises(ValueError):
         derive_constants(1e9, 0.5)
     # non-finite inputs, and a 5.9e-150 Hz carrier whose eta overflows (it once
@@ -80,7 +79,7 @@ def test_reciprocal_distance_law(pc28, rng):
 
 def test_inwg_phase_special_points(pc28):
     assert inwg_phase(0.0, pc28) == pytest.approx(1.0 + 0.0j)
-    lam_g = pc28.guided_wavelength
+    lam_g = 2 * np.pi / pc28.k_g
     assert inwg_phase(lam_g, pc28) == pytest.approx(1.0 + 0.0j, abs=1e-12)
     assert inwg_phase(lam_g / 2.0, pc28) == pytest.approx(-1.0 + 0.0j, abs=1e-12)
     # pure phase never changes magnitude
@@ -91,7 +90,7 @@ def test_inwg_phase_special_points(pc28):
 def test_inwg_vector(pc28):
     single = inwg_vector([0.7], pc28)
     assert single[0] == pytest.approx(inwg_phase(0.7, pc28))
-    lam_g = pc28.guided_wavelength
+    lam_g = 2 * np.pi / pc28.k_g
     v = inwg_vector([0.0, lam_g / 2.0, lam_g], pc28)
     np.testing.assert_allclose(v, np.array([1, -1, 1]) / np.sqrt(3), atol=1e-12)
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)

@@ -319,17 +319,29 @@ def test_invalid_numeric_inputs_rejected(tmp_path, capsys, command, keys, extra)
     assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
 
 
+_POWER_SWEEP = ["sweep", "--variable", "power_budget", "--schemes", "swsp", "--values"]
+
+
+# extra: the subcommand and its options
 @pytest.mark.parametrize("keys, extra, name", [
-    ({"p_max_dbm": 4000}, [], "p_max_dbm"),
-    ({"sigma_b_dbm": 4000}, [], "sigma_b_dbm"),
-    ({"sigma_w_dbm": 4000}, [], "sigma_w_dbm"),
-    ({"delta_sigma_db": 4000}, [], "delta_sigma_db"),
-    ({}, ["--variable", "power_budget", "--values", "4000", "--schemes", "swsp"], "power_budget"),
+    ({"p_max_dbm": 4000}, ["swsp"], "p_max_dbm"),
+    ({"sigma_b_dbm": 4000}, ["swsp"], "sigma_b_dbm"),
+    ({"sigma_w_dbm": 4000}, ["swsp"], "sigma_w_dbm"),
+    ({"delta_sigma_db": 4000}, ["swsp"], "delta_sigma_db"),
+    ({}, _POWER_SWEEP + ["4000"], "power_budget"),
+    # a budget that underflowed to 0 W once ended swsp in an error naming the
+    # derived delta_p_watts, and gave mwmp and bench rows at rate 0 with exit 0;
+    # a subnormal one did the same
+    *[({key: db}, [command], key)
+      for key, db in (("p_max_dbm", -4000), ("p_max_dbm", -3200), ("sigma_b_dbm", -4000),
+                      ("sigma_w_dbm", -4000), ("delta_sigma_db", -4000))
+      for command in ("swsp", "mwmp", "bench")],
+    ({}, _POWER_SWEEP + ["-4000"], "power_budget sweep value"),
+    ({}, _POWER_SWEEP + ["-3200"], "power_budget sweep value"),
 ])
 def test_db_overflow_names_its_source(tmp_path, capsys, keys, extra, name):
     # the error line once read only "numeric fault: (34, 'Numerical result out of range')"
-    command = "sweep" if extra else "swsp"
-    assert main([command, "--config", _config_file(tmp_path, **keys)] + extra) == 2
+    assert main(extra + ["--config", _config_file(tmp_path, **keys)]) == 2
     err_lines = capsys.readouterr().err.splitlines()
     assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
     assert name in err_lines[0] and "dB to linear" in err_lines[0]

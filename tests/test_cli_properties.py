@@ -5,12 +5,16 @@ and meets the warden gain budget at the sampled warden positions (for `swsp`,
 non-decreasing trace whose powers lie in [0, P_max] (`converge --case swsp`),
 or, for `pattern`, in the library's normalized beam map on the configured grid."""
 
+import ast
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import math
+import textwrap
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -259,3 +263,22 @@ def test_gain_formatter_matches_percent_g17_at_edges():
     specials = [0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0), 0.5, 2.0**-18]
     for values in (folded, uniform, edges, ties, specials):
         assert _matches_percent_g17(values)
+
+
+def test_gain_formatter_decade_premise():
+    # _format_g17 takes the zeros z after "0." from comparisons of a value v
+    # with the doubles it names, from 1 down to 1e-4. The 17 digits of
+    # v * 10**(17 + z) are exact only if each lower bound lies above
+    # 10**-(z + 1), so the product reaches 10**16, and if the largest double
+    # below each upper bound, times 10**(17 + z), stays more than 1/2 below
+    # 10**17, so the rounding cannot carry into an 18th digit
+    tree = ast.parse(textwrap.dedent(inspect.getsource(_format_g17)))
+    bounds = sorted((node.comparators[0].value for node in ast.walk(tree)
+                     if isinstance(node, ast.Compare)
+                     and isinstance(node.comparators[0], ast.Constant)
+                     and isinstance(node.comparators[0].value, float)), reverse=True)
+    assert bounds[0] == 1.0 and len(bounds) == 5
+    for z, (upper, lower) in enumerate(zip(bounds, bounds[1:])):
+        assert Fraction(lower) > Fraction(1, 10 ** (z + 1))
+        below = Fraction(np.nextafter(upper, 0.0).item())
+        assert 10**17 - below * 10 ** (17 + z) > Fraction(1, 2)

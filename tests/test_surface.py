@@ -6,7 +6,8 @@ CLI or the harness. The check reads the source and runs nothing.
 A name counts as used where it appears as a name, an attribute or an import
 anywhere in those files other than its own definition and the package's
 ``__init__`` re-exports. Attributes of ``np`` and ``math`` do not count, so
-``np.empty`` does not keep a method ``empty`` alive.
+``np.empty`` does not keep a method ``empty`` alive. Likewise every field of
+a dataclass of the package is read as an attribute there or in ``perfbench/``.
 """
 
 import ast
@@ -30,6 +31,10 @@ ORACLES = {
     "mean_rates": "the per-(scheme, value) means the paper's acceptance criteria compare",
 }
 _MODULES = {"np", "math"}
+# dataclasses whose fields only the tests read
+UNREAD_FIELDS = {
+    "ForbiddenZone": "the result of the oracle forbidden_zone, checked field by field",
+}
 
 
 def _used_names(path: Path) -> set[str]:
@@ -85,3 +90,33 @@ def test_package_init_reexports_nothing():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     assert [node for node in ast.walk(tree)
             if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+
+
+def _dataclass_fields():
+    """(class, field) of every annotated field of every dataclass in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                yield from ((node.name, item.target.id) for item in node.body
+                            if isinstance(item, ast.AnnAssign))
+
+
+def _attributes_read() -> set[str]:
+    files = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    return {node.attr for path in files for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and not (isinstance(node.value, ast.Name) and node.value.id in _MODULES)}
+
+
+def test_every_dataclass_field_is_read():
+    """Every field of a dataclass in the package is read as an attribute
+    somewhere in the package or the benchmark: a field nothing reads is state
+    kept for nobody. The match is by name only, so a field read on one class
+    covers a field of the same name on another (``ExperimentConfig.n_eff``
+    would hide an unread ``n_eff`` elsewhere)."""
+    fields = list(_dataclass_fields())
+    assert set(UNREAD_FIELDS) <= {cls for cls, _ in fields}
+    read = _attributes_read()
+    assert [f"{cls}.{field}" for cls, field in fields
+            if field not in read and cls not in UNREAD_FIELDS] == []
