@@ -13,6 +13,7 @@ from . import benchmarks, mwmp, swsp
 from .config import ExperimentConfig
 from .constants import dbm_to_watts
 from .detection import CovertnessSpec, WillieUncertainty
+from .geometry import PassGeometry
 from .scenario import Scenario
 
 SCHEMES = ("swsp", "mwmp", "mimo_zf", "mimo_mrt", "pass_zf", "pass_mrt")
@@ -74,11 +75,14 @@ def _apply_sweep_value(sc: Scenario, variable: str, value: float) -> Scenario:
     return dataclasses.replace(sc, willie=WillieUncertainty(sc.willie.center, value))
 
 
-def solve_scheme(scheme: str, sc: Scenario, config: ExperimentConfig, seed: int):
+def solve_scheme(scheme: str, sc: Scenario, config: ExperimentConfig, seed: int,
+                 swsp_geom: PassGeometry | None = None):
     """(covert rate, transmit power, solver result) of one scheme on one scenario;
-    the result is a ``SwspSolution``, ``MwmpSolution`` or ``BenchmarkResult``."""
+    the result is a ``SwspSolution``, ``MwmpSolution`` or ``BenchmarkResult``.
+    ``swsp_geom`` is ``config.geometry_swsp()`` when the caller derived it already."""
     if scheme == "swsp":
-        swsp_sc = dataclasses.replace(sc, geom=config.geometry_swsp())
+        geom = config.geometry_swsp() if swsp_geom is None else swsp_geom
+        swsp_sc = dataclasses.replace(sc, geom=geom)
         # fixed absolute resolution: under a budget sweep the candidate power
         # grids stay nested, so the rate is exactly monotone in the budget
         sol = swsp.solve(swsp_sc, config.delta_p())
@@ -119,13 +123,14 @@ def run_sweep(config: ExperimentConfig, variable: str, values,
             raise ValueError(f"unknown scheme {s!r}; valid schemes: " + ", ".join(SCHEMES))
     scenarios = sample_scenarios(config)
     seeds = [trial_seed(config.seed, trial) for trial in range(len(scenarios))]
+    swsp_geom = config.geometry_swsp() if "swsp" in schemes else None
     records = []
     for value in values:
         # one scenario per trial and value, shared by every scheme
         swept = [_apply_sweep_value(base, variable, value) for base in scenarios]
         for scheme in schemes:
             for trial, (sc, seed) in enumerate(zip(swept, seeds)):
-                rate, power, _ = solve_scheme(scheme, sc, config, seed)
+                rate, power, _ = solve_scheme(scheme, sc, config, seed, swsp_geom)
                 records.append(SweepRecord(scheme, variable, value, trial,
                                            rate, power, seed))
     return records

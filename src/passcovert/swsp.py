@@ -45,12 +45,16 @@ def _zone_bounds(powers: np.ndarray, sc: Scenario):
     return exists, x_lo, x_hi, d_bou, d_tot
 
 
+def _power(power: float) -> np.ndarray:
+    """``power`` as a one-element array, if it is a finite non-negative number."""
+    if not (math.isfinite(power) and power >= 0.0):
+        raise ValueError(f"transmit power must be a finite non-negative number, got {power!r}")
+    return np.asarray([float(power)])
+
+
 def forbidden_zone(power: float, sc: Scenario) -> ForbiddenZone:
     """Forbidden interval of antenna positions at transmit power ``power``."""
-    if power < 0.0:
-        raise ValueError("transmit power must be non-negative")
-    p = np.asarray([float(power)])
-    exists, x_lo, x_hi, d_bou, d_tot = _zone_bounds(p, sc)
+    exists, x_lo, x_hi, d_bou, d_tot = _zone_bounds(_power(power), sc)
     if not exists[0]:
         return ForbiddenZone(float(d_bou[0]), float(d_tot[0]), None, None)
     theta = math.acos(abs(sc.willie.center[1]) / float(d_tot[0]))
@@ -89,15 +93,15 @@ def _positions_for(powers: np.ndarray, sc: Scenario) -> np.ndarray:
 
 def optimal_position(power: float, sc: Scenario) -> float | None:
     """Feasible antenna x closest to Bob at the given power, or None."""
-    if power < 0.0:
-        raise ValueError("transmit power must be non-negative")
-    x = _positions_for(np.asarray([float(power)]), sc)[0]
+    x = _positions_for(_power(power), sc)[0]
     return None if math.isnan(x) else float(x)
 
 
 def achievable_rate(x: float, power: float, sc: Scenario) -> float:
     """Covert rate log2(1 + gamma_b) with the antenna at ``x``."""
-    return float(_rates(power, x, sc))
+    if not math.isfinite(x):
+        raise ValueError(f"antenna position must be a finite number, got {x!r}")
+    return float(_rates(_power(power)[0], x, sc))
 
 
 @dataclass(eq=False)
@@ -108,8 +112,10 @@ class SwspSolution:
     feasible: bool
 
 
-_FAN = 32  # cut points per interval and level of the branch-and-bound search
-_CHUNK = 4096  # live intervals cut per vectorised evaluation, to bound memory
+_FAN = 32  # pieces per wide interval and pass of the branch-and-bound search
+_FIRST = 256  # points of the first pass: a 1e5-point grid keeps one or two live pieces
+_BUDGET = 2**14  # points per pass at most: live intervals holding fewer are finished
+_ROWS = _BUDGET // (_FAN - 1)  # live intervals cut per pass
 _ULP_SLACK = 8  # ulps of the best rate that cover log2 being only faithfully rounded
 
 
@@ -131,9 +137,17 @@ def _positions_at(idx: np.ndarray, sc: Scenario, delta_p: float):
     return powers, _positions_for(powers, sc)
 
 
+def _denominators(xs, sc: Scenario):
+    """d_sq * sigma_b^2 of antennas at ``xs``: Bob's SNR is power * eta over it."""
+    return ((sc.r_b[0] - xs) ** 2 + sc.r_b[1] ** 2 + sc.geom.height**2) * sc.sigma_b_sq
+
+
+def _rates_over(powers, den, sc: Scenario):
+    return np.log2(1.0 + powers * sc.pc.eta / den)
+
+
 def _rates(powers, xs, sc: Scenario):
-    d_sq = (sc.r_b[0] - xs) ** 2 + sc.r_b[1] ** 2 + sc.geom.height**2
-    return np.log2(1.0 + powers * sc.pc.eta / (d_sq * sc.sigma_b_sq))
+    return _rates_over(powers, _denominators(xs, sc), sc)
 
 
 def _search(sc: Scenario, delta_p: float):
@@ -148,27 +162,35 @@ def _search(sc: Scenario, delta_p: float):
     return powers, xs, _rates(powers, xs, sc)
 
 
-def _cuts(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Up to _FAN - 1 evenly spaced indices in [lo, hi) per row, without
-    overflowing int64; entries equal to ``lo`` mark narrow intervals."""
+def _nodes(lo: np.ndarray, hi: np.ndarray, fan: int = _FAN) -> np.ndarray:
+    """Per row lo, fan - 1 evenly spaced cut points and hi, without overflowing
+    int64; a narrow interval repeats its cut points."""
     width = hi - lo
-    k = np.arange(1, _FAN)
-    return (lo[:, None] + (width // _FAN)[:, None] * k
-            + ((width % _FAN)[:, None] * k) // _FAN)
+    k = np.arange(fan + 1)
+    return (lo[:, None] + (width // fan)[:, None] * k
+            + ((width % fan)[:, None] * k) // fan)
 
 
-def _better(best, idx, powers, xs, rates):
-    """(rate, index, power, x) of the best grid point: the highest rate, then
-    the largest power on ties, as the scan's update rule keeps the latest.
-    Infeasible powers carry a NaN rate and never win."""
-    top = np.fmax.reduce(rates)
-    if not top >= best[0]:
-        return best
-    ties = np.flatnonzero(rates == top)
-    j = ties[np.argmax(idx[ties])]
-    if top > best[0] or idx[j] > best[1]:
-        return top, idx[j], powers[j], xs[j]
-    return best
+def _evaluate(best, idx, sc: Scenario, delta_p: float):
+    """One pass: denominators at grid indices ``idx`` and the best (rate, index, power,
+    x) so far, the largest power on ties; an infeasible power's NaN rate never wins."""
+    powers, xs = _positions_at(idx, sc, delta_p)
+    den = _denominators(xs, sc)
+    rates = _rates_over(powers, den, sc)
+    top = np.fmax.reduce(rates, initial=-np.inf)
+    ties = np.flatnonzero(rates == top)  # empty if no rate is feasible
+    if ties.size and top >= best[0]:
+        j = ties[np.argmax(idx[ties])]
+        if top > best[0] or idx[j] > best[1]:
+            best = top, idx[j], powers[j], xs[j]
+    return den, best
+
+
+def _live(best, lo, hi, lo_den, sc: Scenario, delta_p: float):
+    """(lo, hi, denominator at lo) of intervals whose bound rate(P_hi, x_lo) may win."""
+    bound = _rates_over(delta_p * hi.astype(float), lo_den, sc)
+    keep = (hi - lo > 1) & (bound >= best[0] - _ULP_SLACK * np.spacing(best[0]))
+    return lo[keep], hi[keep], lo_den[keep]
 
 
 def solve(sc: Scenario, delta_p: float) -> SwspSolution:
@@ -179,40 +201,33 @@ def solve(sc: Scenario, delta_p: float) -> SwspSolution:
     forbidden zone only grows with power, in floating point too, so infeasible
     powers form a suffix and the position closest to Bob only moves away from
     it: on a grid interval [a, b] with x_a feasible no rate exceeds
-    rate(P_b, x_a). A fan-out branch-and-bound drops every interval whose
-    bound falls below the best rate seen, or whose left end is infeasible.
+    rate(P_b, x_a). A branch-and-bound drops each interval whose bound is below
+    the best rate or whose left end is infeasible, and finishes or cuts the rest.
     """
     n = _grid_size(sc, delta_p)
-    if n == 0:
-        return SwspSolution(0.0, None, 0.0, False)
-    idx = np.array([1, n] if n > 1 else [1])
-    powers, xs = _positions_at(idx, sc, delta_p)
-    best = _better((-np.inf, 0), idx, powers, xs, _rates(powers, xs, sc))
-    # live intervals as (lo, hi, x at lo, bound) rows
-    stack = [(idx[:1], idx[-1:], xs[:1], _rates(powers[-1:], xs[:1], sc))] if n > 2 else []
+    idx = (_nodes(np.array([1]), np.array([n]), _FIRST - 1)[0] if n > _FIRST
+           else np.arange(1, n + 1))
+    den, best = _evaluate((-np.inf, 0), idx, sc, delta_p)
+    stack = [_live(best, idx[:-1], idx[1:], den[:-1], sc, delta_p)]
     while stack:
         live = stack.pop()
-        if live[0].size > _CHUNK:
-            stack.append(tuple(a[:-_CHUNK] for a in live))
-            live = tuple(a[-_CHUNK:] for a in live)
-        floor = best[0] - _ULP_SLACK * np.spacing(best[0])
-        lo, hi, lo_x = (a[live[3] >= floor] for a in live[:3])
+        if live[0].size > _ROWS:
+            stack.append(tuple(a[:-_ROWS] for a in live))
+            live = tuple(a[-_ROWS:] for a in live)
+        lo, hi, lo_den = _live(best, *live, sc, delta_p)
         if not lo.size:
             continue
-        cuts = _cuts(lo, hi)
-        inner = cuts > lo[:, None]
-        idx = cuts[inner]  # narrow intervals repeat cut points, which is harmless
-        powers, xs = _positions_at(idx, sc, delta_p)
-        best = _better(best, idx, powers, xs, _rates(powers, xs, sc))
-        # sub-intervals [left, right] between consecutive nodes lo, cuts..., hi
-        left = np.concatenate([lo[:, None], cuts], axis=1)
-        right = np.concatenate([cuts, hi[:, None]], axis=1)
-        left_x = np.repeat(lo_x[:, None], _FAN, axis=1)
-        left_x[:, 1:][inner] = xs
-        bound = _rates(delta_p * right.astype(float), left_x, sc)  # NaN: left infeasible
-        floor = best[0] - _ULP_SLACK * np.spacing(best[0])
-        keep = (right - left > 1) & (bound >= floor)
-        stack.append(tuple(a[keep] for a in (left, right, left_x, bound)))
+        inside = hi - lo - 1
+        if inside.sum() <= _BUDGET:
+            start = np.repeat(lo + 1 - (np.cumsum(inside) - inside), inside)
+            best = _evaluate(best, start + np.arange(start.size), sc, delta_p)[1]
+            continue
+        nodes = _nodes(lo, hi)
+        new = nodes[:, 1:-1] > nodes[:, :-2]  # each repeated cut point once
+        left_den = np.repeat(lo_den[:, None], _FAN, axis=1)
+        left_den[:, 1:][new], best = _evaluate(best, nodes[:, 1:-1][new], sc, delta_p)
+        stack.append(_live(best, nodes[:, :-1].ravel(), nodes[:, 1:].ravel(),
+                           left_den.ravel(), sc, delta_p))
     if best[0] == -np.inf:
         return SwspSolution(0.0, None, 0.0, False)
     return SwspSolution(float(best[2]), float(best[3]), float(best[0]), True)

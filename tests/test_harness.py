@@ -140,6 +140,24 @@ def test_run_sweep_records_and_reuse():
     assert means[("swsp", 0.5)] >= means[("swsp", 1.0)] - 1e-12
 
 
+def test_run_sweep_derives_swsp_geometry_once(monkeypatch):
+    # one geometry per sweep, not per record, and still one swsp.solve per
+    # swsp record, in record order
+    from passcovert import swsp
+    derived, solved = [], []
+    geometry_swsp, solve = ExperimentConfig.geometry_swsp, swsp.solve
+    monkeypatch.setattr(ExperimentConfig, "geometry_swsp",
+                        lambda self: derived.append(self) or geometry_swsp(self))
+    monkeypatch.setattr(swsp, "solve",
+                        lambda sc, delta_p: solved.append(solve(sc, delta_p)) or solved[-1])
+    records = run_sweep(_small_config(trials=3), "power_budget", [10.0, 20.0],
+                        ("pass_mrt", "swsp"))
+    assert len(derived) == 1
+    assert ([(s.rate, s.p_opt) for s in solved]
+            == [(r.covert_rate, r.p_opt) for r in records if r.scheme == "swsp"])
+    assert len(solved) == 2 * 3
+
+
 def test_run_sweep_power_budget_scales_grid():
     # swsp search keeps its relative resolution when the budget is swept
     cfg = _small_config(trials=3)

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from passcovert import harness
+from passcovert import harness, swsp
 from passcovert.config import ExperimentConfig
 from passcovert.detection import (CovertnessSpec, NoiseUncertainty, WillieUncertainty,
                                   optimal_detection)
@@ -254,9 +254,8 @@ def _full_scan(sc, delta_p):
     return (float(powers[best]), float(xs[best]), float(rates[best]), True), powers.size
 
 
-def _exactness_cases():
-    """(scenario, delta_p) pairs: sweep-shaped solves over the three sweep
-    variables, then random stress scenarios."""
+def _sweep_cases():
+    """(scenario, delta_p) pairs of sweep-shaped solves over the three sweep variables."""
     cfg = ExperimentConfig()
     sweeps = {"target_error_rate": [0.80, 0.85, 0.90, 0.95],
               "power_budget": [10.0, 15.0, 20.0, 25.0, 30.0],
@@ -266,6 +265,12 @@ def _exactness_cases():
         for variable, values in sweeps.items():
             for value in values:
                 yield harness._apply_sweep_value(sc, variable, value), cfg.delta_p()
+
+
+def _exactness_cases():
+    """(scenario, delta_p) pairs: sweep-shaped solves, then random stress scenarios."""
+    cfg = ExperimentConfig()
+    yield from _sweep_cases()
     rng = np.random.default_rng(20251018)
     for _ in range(1800):
         length = rng.uniform(5.0, 40.0)
@@ -332,3 +337,60 @@ def test_fine_grid_keeps_largest_power_on_ties():
     assert ties[-1] == i_opt
     at = i_opt - idx[0]
     assert (sol.p_opt, sol.x_opt, sol.rate) == (powers[at], xs[at], rates[at])
+
+
+def _pass_sizes(monkeypatch) -> list[int]:
+    """Grid points of each evaluation pass of the solves that follow; a pass
+    calls _positions_at once."""
+    sizes = []
+    positions_at = swsp._positions_at
+
+    def counted(idx, sc, delta_p):
+        sizes.append(idx.size)
+        return positions_at(idx, sc, delta_p)
+
+    monkeypatch.setattr(swsp, "_positions_at", counted)
+    return sizes
+
+
+def test_sweep_solves_take_two_passes(monkeypatch):
+    # a sweep-shaped grid of up to 1e5 powers: one pass across the grid, one
+    # that finishes the live intervals
+    sizes = _pass_sizes(monkeypatch)
+    passes = []
+    for sc, delta_p in _sweep_cases():
+        before = len(sizes)
+        solve(sc, delta_p)
+        passes.append(len(sizes) - before)
+    assert len(passes) == 280
+    assert np.median(passes) <= 2
+
+
+def test_fine_grid_passes_stay_within_budget(monkeypatch):
+    # the 1e11 powers of a 1e-11 W grid take no pass above the point budget,
+    # and the 1e13 of a 1e-13 W grid no more points than the 32-way search
+    # that evaluated [1, n] on its own first (2,799,947 points)
+    cfg = ExperimentConfig()
+    sizes = _pass_sizes(monkeypatch)
+    solve(cfg.scenario("swsp"), 1e-11)
+    assert max(sizes) <= swsp._BUDGET
+    sizes.clear()
+    solve(cfg.scenario("swsp"), 1e-13)
+    assert sum(sizes) <= 2_799_947
+
+
+@pytest.mark.parametrize("power", [float("nan"), float("inf"), -1e-3])
+def test_oracles_reject_bad_power(power):
+    # a NaN power once gave no zone (covert everywhere) and Bob's own x
+    sc = _scenario()
+    for oracle in (forbidden_zone, optimal_position):
+        with pytest.raises(ValueError, match="transmit power"):
+            oracle(power, sc)
+    with pytest.raises(ValueError, match="transmit power"):
+        achievable_rate(20.0, power, sc)
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), -float("inf")])
+def test_achievable_rate_rejects_non_finite_position(x):
+    with pytest.raises(ValueError, match="antenna position"):
+        achievable_rate(x, 1e-3, _scenario())
