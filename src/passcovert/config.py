@@ -50,14 +50,7 @@ class ExperimentConfig:
     delta_p_watts: float | None = None  # default: p_max / 1e5
     pso_pop_bs: int = 30
     pso_pop_ps: int = 30
-    pso_inertia_bs: float = 0.8
-    pso_inertia_ps: float = 0.8
-    pso_cognitive_bs: float = 2.0
-    pso_social_bs: float = 2.0
-    pso_cognitive_ps: float = 2.0
-    pso_social_ps: float = 2.0
     pso_iterations: int = 100
-    pso_vmax: float = 0.3
     # harness
     trials: int = 200
     converge_inits: int = 200
@@ -143,14 +136,7 @@ class ExperimentConfig:
         return PsoParams(
             n_bs=self.pso_pop_bs,
             n_ps=self.pso_pop_ps,
-            inertia_bs=self.pso_inertia_bs,
-            inertia_ps=self.pso_inertia_ps,
-            cognitive_bs=self.pso_cognitive_bs,
-            social_bs=self.pso_social_bs,
-            cognitive_ps=self.pso_cognitive_ps,
-            social_ps=self.pso_social_ps,
             iterations=self.pso_iterations,
-            v_max=self.pso_vmax,
             seed=self.seed if seed is None else seed,
         )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,19 +36,21 @@ class PassGeometry:
     pa_spacing: float  # m
 
     def __post_init__(self):
-        if self.height <= 0.0:
-            raise ValueError("waveguide height must be positive")
-        if self.length <= 0.0:
-            raise ValueError("waveguide length must be positive")
+        if not 0.0 < self.height < math.inf:
+            raise ValueError("waveguide height must be a finite positive number")
+        if not 0.0 < self.length < math.inf:
+            raise ValueError("waveguide length must be a finite positive number")
         if self.n_wg < 1 or self.m_pa < 1:
             raise ValueError("need at least one waveguide and one antenna per waveguide")
         if len(self.wg_y) != self.n_wg:
             raise ValueError(f"expected {self.n_wg} waveguide y-coordinates, got {len(self.wg_y)}")
+        if not all(math.isfinite(y) for y in self.wg_y):
+            raise ValueError(f"waveguide y-coordinates must be finite, got {self.wg_y}")
         if len(set(self.wg_y)) != self.n_wg:
             raise ValueError(f"waveguide y-coordinates must be distinct, got {self.wg_y}")
-        if not self.pa_spacing > 0.0:
-            raise ValueError("antenna spacing must be positive")
-        if self.usable_length < 0.0:
+        if not 0.0 < self.pa_spacing < math.inf:
+            raise ValueError("antenna spacing must be a finite positive number")
+        if not self.usable_length >= 0.0:
             raise ValueError("antennas at the configured spacing do not fit on the waveguide")
 
     @property
@@ -77,7 +80,7 @@ class PinchLayout:
         if x.size != self.geom.n_wg:
             raise ValueError(f"expected {self.geom.n_wg} initial positions, got {x.size}")
         hi = self.geom.usable_length
-        if np.any(x < -1e-9) or np.any(x > hi + 1e-9):
+        if not (np.all(x >= -1e-9) and np.all(x <= hi + 1e-9)):
             raise ValueError(f"initial positions must lie in [0, {hi}], got {x}")
         self.x_init = np.clip(x, 0.0, hi)
 
@@ -99,10 +102,10 @@ class BeamVector:
         if e.size == 0:
             raise ValueError("beamforming vector must have at least one entry")
         norm = float(np.linalg.norm(e))
-        if abs(norm - 1.0) > _UNIT_NORM_TOL:
+        if not abs(norm - 1.0) <= _UNIT_NORM_TOL:
             raise ValueError(f"beamforming entries must be unit norm, got ||w|| = {norm}")
-        if self.power < 0.0:
-            raise ValueError("transmit power must be non-negative")
+        if not 0.0 <= self.power < math.inf:
+            raise ValueError("transmit power must be a finite non-negative number")
         self.entries = e
 
     @property

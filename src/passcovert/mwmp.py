@@ -9,7 +9,6 @@ other swarm's global best.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,18 +20,18 @@ from .geometry import PinchLayout
 from .scenario import Scenario
 
 
+# velocity-update weights and velocity cap, shared by both swarms
+_INERTIA = 0.8
+_COGNITIVE = 2.0
+_SOCIAL = 2.0
+_V_MAX = 0.3
+
+
 @dataclass(frozen=True)
 class PsoParams:
     n_bs: int = 30
     n_ps: int = 30
-    inertia_bs: float = 0.8
-    inertia_ps: float = 0.8
-    cognitive_bs: float = 2.0
-    social_bs: float = 2.0
-    cognitive_ps: float = 2.0
-    social_ps: float = 2.0
     iterations: int = 100
-    v_max: float = 0.3
     seed: int = 0
 
     def __post_init__(self):
@@ -40,12 +39,6 @@ class PsoParams:
             raise ValueError("both swarms need at least one particle")
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
-        if not self.v_max > 0.0:
-            raise ValueError("velocity cap must be positive")
-        weights = (self.inertia_bs, self.inertia_ps, self.cognitive_bs, self.social_bs,
-                   self.cognitive_ps, self.social_ps)
-        if not all(math.isfinite(v) for v in weights):
-            raise ValueError("inertia, cognitive and social weights must be finite")
 
 
 @dataclass(eq=False)
@@ -127,15 +120,14 @@ class Swarm:
     def glo_pos(self) -> np.ndarray:
         return self.bests[1, 0]
 
-    def advance(self, scores: np.ndarray, rng: np.random.Generator, inertia: float,
-                cognitive: float, social: float, v_max: float) -> bool:
+    def advance(self, scores: np.ndarray, rng: np.random.Generator) -> bool:
         """Take in the scores of ``pos`` and move every particle; returns whether
         the global best moved.
 
         Draws theta1 then theta2, one factor per coordinate, in one call (the
         same stream as two), and updates the velocity in the float order of
-        inertia * vel + cognitive * theta1 * (best - pos) + social * theta2 * (glo - pos).
-        The cap applies to real and imaginary parts independently.
+        _INERTIA * vel + _COGNITIVE * theta1 * (best - pos) + _SOCIAL * theta2 * (glo - pos).
+        The cap ``_V_MAX`` applies to real and imaginary parts independently.
         """
         improved = scores > self.best_score
         np.copyto(self.best_score, scores, where=improved)
@@ -146,14 +138,14 @@ class Swarm:
             self.glo_score = float(self.best_score[best])
             self.bests[1] = self.bests[0, best]
         theta = rng.random(self.bests.shape)
-        theta[0] *= cognitive
-        theta[1] *= social
+        theta[0] *= _COGNITIVE
+        theta[1] *= _SOCIAL
         pull = self.bests - self.pos
         pull *= theta
-        self.vel *= inertia
+        self.vel *= _INERTIA
         self.vel += pull[0]
         self.vel += pull[1]
-        _clip(self.vel.view(float), -v_max, v_max)
+        _clip(self.vel.view(float), -_V_MAX, _V_MAX)
         self.pos += self.vel
         return moved
 
@@ -196,7 +188,7 @@ def init_swarms(n_wg: int, params: PsoParams, rng: np.random.Generator) -> TwinS
     return TwinSwarms(Swarm.start(ps_pos, ps_glo), Swarm.start(bs_pos, bs_glo), rng)
 
 
-def step(swarms: TwinSwarms, ctx: _EvalContext, params: PsoParams) -> tuple[float, float]:
+def step(swarms: TwinSwarms, ctx: _EvalContext) -> tuple[float, float]:
     """One full alternating iteration; returns both swarms' global best scores.
 
     Random factors are drawn per dimension in a fixed order (PS cognitive, PS
@@ -208,8 +200,7 @@ def step(swarms: TwinSwarms, ctx: _EvalContext, params: PsoParams) -> tuple[floa
 
     # position half: weights fixed to the BS global best
     gains = np.abs(_channels(ps.pos, ctx) @ bs.glo_pos) ** 2
-    if ps.advance(_fitness(gains, ctx), rng, params.inertia_ps, params.cognitive_ps,
-                  params.social_ps, params.v_max):
+    if ps.advance(_fitness(gains, ctx), rng):
         swarms.bs_channel = None
     _clip(ps.pos, 0.0, 1.0)
 
@@ -217,8 +208,7 @@ def step(swarms: TwinSwarms, ctx: _EvalContext, params: PsoParams) -> tuple[floa
     if swarms.bs_channel is None:
         swarms.bs_channel = _channels(ps.glo_pos[None], ctx)[0]
     gains = np.abs(bs.pos @ swarms.bs_channel.T) ** 2
-    bs.advance(_fitness(gains, ctx), rng, params.inertia_bs, params.cognitive_bs,
-               params.social_bs, params.v_max)
+    bs.advance(_fitness(gains, ctx), rng)
     _renormalize_rows(bs.pos, rng)
 
     return ps.glo_score, bs.glo_score
@@ -232,7 +222,7 @@ def solve(sc: Scenario, params: PsoParams, k: int = 1) -> MwmpSolution:
     trace = np.empty(params.iterations)
     best = -np.inf
     for t in range(params.iterations):
-        ps_score, bs_score = step(swarms, ctx, params)
+        ps_score, bs_score = step(swarms, ctx)
         best = max(best, ps_score, bs_score)
         trace[t] = best
 

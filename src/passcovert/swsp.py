@@ -150,18 +150,6 @@ def _rates(powers, xs, sc: Scenario):
     return _rates_over(powers, _denominators(xs, sc), sc)
 
 
-def _search(sc: Scenario, delta_p: float):
-    """Power grid, positions and rates visited by the 1-D search (after the
-    early stop at the first infeasible power)."""
-    powers, xs = _positions_at(np.arange(1, _grid_size(sc, delta_p) + 1), sc, delta_p)
-    feasible = ~np.isnan(xs)
-    if not feasible.all():
-        # the zone grows monotonically with power, so stop at the first gap
-        stop = int(np.argmin(feasible))
-        powers, xs = powers[:stop], xs[:stop]
-    return powers, xs, _rates(powers, xs, sc)
-
-
 def _nodes(lo: np.ndarray, hi: np.ndarray, fan: int = _FAN) -> np.ndarray:
     """Per row lo, fan - 1 evenly spaced cut points and hi, without overflowing
     int64; a narrow interval repeats its cut points."""
@@ -234,7 +222,12 @@ def solve(sc: Scenario, delta_p: float) -> SwspSolution:
 
 
 def rate_trace(sc: Scenario, delta_p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Grid powers of the 1-D search and the best rate so far after each; both
-    empty when no grid power is feasible."""
-    powers, _, rates = _search(sc, delta_p)
-    return powers, np.maximum.accumulate(rates)
+    """Grid powers of the 1-D search up to the first infeasible one and the best
+    rate so far after each; both empty when no grid power is feasible."""
+    powers, xs = _positions_at(np.arange(1, _grid_size(sc, delta_p) + 1), sc, delta_p)
+    feasible = ~np.isnan(xs)
+    if not feasible.all():
+        # the zone grows monotonically with power, so stop at the first gap
+        stop = int(np.argmin(feasible))
+        powers, xs = powers[:stop], xs[:stop]
+    return powers, np.maximum.accumulate(_rates(powers, xs, sc))

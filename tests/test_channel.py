@@ -43,6 +43,38 @@ def test_derive_constants_rejects_bad_args():
             derive_constants(freq, n_eff)
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+def _two_waveguides(height=3.0, length=25.0, wg_y=(-1.5, 1.5), pa_spacing=0.5):
+    return PassGeometry(height, length, 2, 3, wg_y, pa_spacing)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _two_waveguides(height=_NAN),
+    lambda: _two_waveguides(height=_INF),
+    lambda: _two_waveguides(length=_NAN),
+    lambda: _two_waveguides(length=_INF),
+    lambda: _two_waveguides(wg_y=(_NAN, 1.5)),
+    lambda: _two_waveguides(wg_y=(-1.5, _INF)),
+    lambda: _two_waveguides(pa_spacing=_NAN),
+    # one antenna per waveguide: inf * 0 made usable_length NaN
+    lambda: PassGeometry.single_waveguide(3.0, 25.0, _INF),
+    lambda: PinchLayout(PassGeometry.single_waveguide(3.0, 25.0), [_NAN]),
+    lambda: PinchLayout(_two_waveguides(), [1.0, _NAN]),
+    lambda: BeamVector([1.0], _NAN),
+    lambda: BeamVector([1.0], _INF),
+    lambda: BeamVector([_NAN, 1.0]),
+], ids=["height_nan", "height_inf", "length_nan", "length_inf", "wg_y_nan", "wg_y_inf",
+        "spacing_nan", "spacing_inf", "layout_nan", "layout_second_nan", "power_nan",
+        "power_inf", "entries_nan"])
+def test_geometry_rejects_non_finite(build):
+    # all but spacing_nan were once accepted: a NaN fails every ordered
+    # comparison, so checks written as "reject if x <= 0" let it through
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_los_coeff_height_only(pc28):
     c = los_coeff((5.0, 0.0, 3.0), (5.0, 0.0, 0.0), pc28)
     assert abs(c) == pytest.approx(np.sqrt(pc28.eta) / 3.0, rel=1e-12)

@@ -241,7 +241,7 @@ _TINY_HEIGHT = {"height_m": 1e-200, "bob_x_m": 0, "bob_y_m": 0}
     ("swsp", {"delta_r_m": float("nan")}, []),
     ("mwmp", {"delta_r_m": float("inf")}, []),
     ("swsp", {"p_max_dbm": float("inf")}, []),
-    ("mwmp", {"pso_vmax": float("nan")}, []),
+    ("mwmp", {"pso_pop_bs": 0}, []),
     ("mwmp", {"num_waveguides": True}, []),
     ("mwmp", {"num_waveguides": 2.5}, []),
     ("sweep", {}, ["--variable", "uncertainty_radius", "--values", "0.5,nan",
@@ -296,7 +296,7 @@ _TINY_HEIGHT = {"height_m": 1e-200, "bob_x_m": 0, "bob_y_m": 0}
     ("mwmp", {"delta_sigma_db": 4000}, []),
     ("bench", {"sigma_w_dbm": 4000}, []),
     ("sweep", {}, ["--variable", "power_budget", "--values", "4000", "--schemes", "swsp"]),
-], ids=["delta_r_nan", "delta_r_inf", "p_max_inf", "vmax_nan", "n_wg_bool", "n_wg_fraction",
+], ids=["delta_r_nan", "delta_r_inf", "p_max_inf", "pso_pop_bs_zero", "n_wg_bool", "n_wg_fraction",
      "values_nan", "wg_stacked", "delta_p_negative", "delta_p_steps_overflow", "samples_k_zero",
      "carrier_underflow", "converge_grid_out_of_memory", "pattern_json", "pattern_res_zero",
      "pattern_zero_power", "pattern_halfwidth_negative", "swsp_height_null", "mwmp_height_null",
@@ -317,6 +317,18 @@ def test_invalid_numeric_inputs_rejected(tmp_path, capsys, command, keys, extra)
     assert captured.out == ""
     err_lines = [ln for ln in captured.err.splitlines() if ln]
     assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+
+
+# the PSO update weights and velocity cap are mwmp constants, no longer keys
+@pytest.mark.parametrize("key", ["pso_inertia_bs", "pso_inertia_ps", "pso_cognitive_bs",
+                                 "pso_social_bs", "pso_cognitive_ps", "pso_social_ps",
+                                 "pso_vmax"])
+def test_removed_pso_keys_are_unknown(tmp_path, capsys, key):
+    code = main(["mwmp", "--config", _config_file(tmp_path, **{key: 0.5})])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: unknown config keys ['{key}']; valid keys: ")
 
 
 _POWER_SWEEP = ["sweep", "--variable", "power_budget", "--schemes", "swsp", "--values"]

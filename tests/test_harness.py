@@ -31,8 +31,7 @@ def test_defaults_match_reported_setup(default_config):
     assert c.pa_spacing() == pytest.approx(c.phys_constants().wavelength / 2)
     assert c.delta_p() == pytest.approx(1e-5)
     assert c.pso_pop_bs == 30 and c.pso_pop_ps == 30
-    assert c.pso_inertia_bs == 0.8 and c.pso_cognitive_bs == 2.0
-    assert c.pso_iterations == 100 and c.pso_vmax == 0.3
+    assert c.pso_iterations == 100
     assert c.trials == 200
     geom = c.geometry_mwmp()
     np.testing.assert_allclose(geom.wg_y_array, [-4.5, -1.5, 1.5, 4.5])

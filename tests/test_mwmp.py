@@ -65,15 +65,6 @@ def test_normalize_bs(rng):
     assert np.linalg.norm(normalized(np.zeros(2))) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_pso_params_reject_non_finite():
-    with pytest.raises(ValueError, match="velocity cap"):
-        PsoParams(v_max=float("nan"))
-    with pytest.raises(ValueError, match="finite"):
-        PsoParams(inertia_ps=float("inf"))
-    with pytest.raises(ValueError, match="finite"):
-        PsoParams(social_bs=float("nan"))
-
-
 def test_optimal_power_branches(pc28):
     sc = _scenario()
     layout = PinchLayout(sc.geom, np.array([5.0, 15.0]))
@@ -144,7 +135,7 @@ def test_step_stationary_when_converged():
     swarms.bs.bests[0] = swarms.bs.glo_pos
     before_ps = swarms.ps.pos.copy()
     before_bs = swarms.bs.pos.copy()
-    step(swarms, mwmp._context(sc, 1), params)
+    step(swarms, mwmp._context(sc, 1))
     # both attraction terms vanish, so nothing moves
     np.testing.assert_allclose(swarms.ps.pos, before_ps, atol=1e-15)
     np.testing.assert_allclose(swarms.bs.pos, before_bs, atol=1e-12)
@@ -157,13 +148,13 @@ def test_step_preserves_constraints_and_caps():
     swarms = init_swarms(3, params, rng)
     ctx = mwmp._context(sc, 1)
     for _ in range(25):
-        step(swarms, ctx, params)
+        step(swarms, ctx)
         assert np.all(swarms.ps.pos >= 0.0) and np.all(swarms.ps.pos <= 1.0)
         np.testing.assert_allclose(np.linalg.norm(swarms.bs.pos, axis=1), 1.0,
                                    atol=1e-12)
-        assert np.all(np.abs(swarms.ps.vel) <= params.v_max + 1e-15)
-        assert np.all(np.abs(swarms.bs.vel.real) <= params.v_max + 1e-15)
-        assert np.all(np.abs(swarms.bs.vel.imag) <= params.v_max + 1e-15)
+        assert np.all(np.abs(swarms.ps.vel) <= mwmp._V_MAX + 1e-15)
+        assert np.all(np.abs(swarms.bs.vel.real) <= mwmp._V_MAX + 1e-15)
+        assert np.all(np.abs(swarms.bs.vel.imag) <= mwmp._V_MAX + 1e-15)
 
 
 def test_trace_monotone_and_deterministic():
@@ -217,7 +208,7 @@ def test_cached_beamforming_channel_tracks_position_global_best():
     ctx = mwmp._context(sc, 1)
     swarms = init_swarms(3, params, np.random.default_rng(params.seed))
     for _ in range(25):
-        step(swarms, ctx, params)
+        step(swarms, ctx)
         pa_x = (swarms.ps.glo_pos[None, :, None] * ctx.usable_len
                 + ctx.pa_offsets[None, None, :])
         fresh = mwmp._effective_batch(pa_x, ctx.wg_y, ctx.height, ctx.receivers, ctx.pc)[0]

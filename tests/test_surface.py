@@ -7,10 +7,12 @@ A name counts as used where it appears as a name, an attribute or an import
 anywhere in those files other than its own definition and the package's
 ``__init__`` re-exports. Attributes of ``np`` and ``math`` do not count, so
 ``np.empty`` does not keep a method ``empty`` alive. Likewise every field of
-a dataclass of the package is read as an attribute there or in ``perfbench/``.
+a dataclass of the package is read as an attribute there or in ``perfbench/``,
+and the README's configuration table names exactly the config keys.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,3 +122,15 @@ def test_every_dataclass_field_is_read():
     read = _attributes_read()
     assert [f"{cls}.{field}" for cls, field in fields
             if field not in read and cls not in UNREAD_FIELDS] == []
+
+
+def test_readme_config_table_names_every_key():
+    # the first column of the table under "## Configuration keys" holds the
+    # backticked keys, one or more per row; a key added, removed or renamed in
+    # ExperimentConfig without the table fails here
+    section = (ROOT / "README.md").read_text().split("## Configuration keys", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    documented = [key for line in section.splitlines() if line.startswith("| `")
+                  for key in re.findall(r"`(\w+)`", line.split("|")[1])]
+    keys = [field for cls, field in _dataclass_fields() if cls == "ExperimentConfig"]
+    assert sorted(documented) == sorted(keys)

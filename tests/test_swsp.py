@@ -11,8 +11,8 @@ from passcovert.detection import (CovertnessSpec, NoiseUncertainty, WillieUncert
                                   optimal_detection)
 from passcovert.geometry import PassGeometry
 from passcovert.scenario import Scenario
-from passcovert.swsp import (_positions_at, _rates, _search, achievable_rate, forbidden_zone,
-                             optimal_position, rate_trace, solve)
+from passcovert.swsp import (_grid_size, _positions_at, _rates, achievable_rate,
+                             forbidden_zone, optimal_position, rate_trace, solve)
 
 
 def _scenario(bob=(20.0, 6.0), willie=(7.0, -9.0), rho=0.1, delta_r=0.5,
@@ -246,8 +246,13 @@ def test_scenario_rejects_non_finite(field, value):
 
 def _full_scan(sc, delta_p):
     """The grid scan's answer (the last maximum over every feasible grid power)
-    and the number of feasible grid powers."""
-    powers, xs, rates = _search(sc, delta_p)
+    and the number of feasible grid powers before the first infeasible one."""
+    powers, xs = _positions_at(np.arange(1, _grid_size(sc, delta_p) + 1), sc, delta_p)
+    feasible = ~np.isnan(xs)
+    if not feasible.all():
+        stop = int(np.argmin(feasible))
+        powers, xs = powers[:stop], xs[:stop]
+    rates = _rates(powers, xs, sc)
     if powers.size == 0:
         return (0.0, None, 0.0, False), 0
     best = int(np.flatnonzero(rates == rates.max())[-1])
