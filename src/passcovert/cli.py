@@ -234,8 +234,8 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
             config = _load(args)
             if args.command in _SINGLE_SCHEMES:
-                # swsp never builds the multi-waveguide geometry, so its checks
-                # (e.g. on wg_spacing_m) cannot fail a swsp solve
+                # the swsp subcommand never builds the multi-waveguide geometry,
+                # so its checks (e.g. on wg_spacing_m) cannot fail it
                 sc = config.scenario("swsp" if args.command == "swsp" else "mwmp")
                 records = []
                 for scheme in _SINGLE_SCHEMES[args.command]:

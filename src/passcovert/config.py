@@ -69,18 +69,6 @@ class ExperimentConfig:
     def p_max_watts(self) -> float:
         return dbm_to_watts(self.p_max_dbm, "p_max_dbm")
 
-    @property
-    def sigma_b_sq_watts(self) -> float:
-        return dbm_to_watts(self.sigma_b_dbm, "sigma_b_dbm")
-
-    @property
-    def sigma_w_sq_watts(self) -> float:
-        return dbm_to_watts(self.sigma_w_dbm, "sigma_w_dbm")
-
-    @property
-    def delta_sigma(self) -> float:
-        return db_to_linear(self.delta_sigma_db, "delta_sigma_db")
-
     def phys_constants(self) -> PhysConstants:
         return derive_constants(self.carrier_freq_hz, self.n_eff)
 
@@ -99,23 +87,17 @@ class ExperimentConfig:
 
     # ---- builders ----
 
-    def geometry_mwmp(self) -> PassGeometry:
-        n = self.num_waveguides
-        wg_y = tuple((i + 1 - (n + 1) / 2.0) * self.wg_spacing_m for i in range(n))
-        return PassGeometry(self.height_m, self.waveguide_length_m, n,
-                            self.pas_per_waveguide, wg_y, self.pa_spacing())
-
     def geometry_swsp(self) -> PassGeometry:
         return PassGeometry.single_waveguide(self.height_m, self.waveguide_length_m,
                                              self.pa_spacing())
 
-    def noise_uncertainty(self) -> NoiseUncertainty:
-        return NoiseUncertainty(self.sigma_w_sq_watts, self.delta_sigma)
-
     def scenario(self, kind: str = "mwmp") -> Scenario:
         """Single fixed-layout scenario at the configured Bob and warden positions."""
         if kind == "mwmp":
-            geom = self.geometry_mwmp()
+            n = self.num_waveguides
+            wg_y = tuple((i + 1 - (n + 1) / 2.0) * self.wg_spacing_m for i in range(n))
+            geom = PassGeometry(self.height_m, self.waveguide_length_m, n,
+                                self.pas_per_waveguide, wg_y, self.pa_spacing())
         elif kind == "swsp":
             geom = self.geometry_swsp()
         else:
@@ -124,9 +106,10 @@ class ExperimentConfig:
             r_b=np.array([self.bob_x_m, self.bob_y_m, 0.0]),
             willie=WillieUncertainty(np.array([self.willie_x_m, self.willie_y_m, 0.0]),
                                      self.delta_r_m),
-            noise_w=self.noise_uncertainty(),
+            noise_w=NoiseUncertainty(dbm_to_watts(self.sigma_w_dbm, "sigma_w_dbm"),
+                                     db_to_linear(self.delta_sigma_db, "delta_sigma_db")),
             covertness=CovertnessSpec(self.rho_w),
-            sigma_b_sq=self.sigma_b_sq_watts,
+            sigma_b_sq=dbm_to_watts(self.sigma_b_dbm, "sigma_b_dbm"),
             p_max=self.p_max_watts,
             geom=geom,
             pc=self.phys_constants(),

@@ -13,7 +13,6 @@ from . import benchmarks, mwmp, swsp
 from .config import ExperimentConfig
 from .constants import dbm_to_watts
 from .detection import CovertnessSpec, WillieUncertainty
-from .geometry import PassGeometry
 from .scenario import Scenario
 
 SCHEMES = ("swsp", "mwmp", "mimo_zf", "mimo_mrt", "pass_zf", "pass_mrt")
@@ -75,17 +74,13 @@ def _apply_sweep_value(sc: Scenario, variable: str, value: float) -> Scenario:
     return dataclasses.replace(sc, willie=WillieUncertainty(sc.willie.center, value))
 
 
-def solve_scheme(scheme: str, sc: Scenario, config: ExperimentConfig, seed: int,
-                 swsp_geom: PassGeometry | None = None):
+def solve_scheme(scheme: str, sc: Scenario, config: ExperimentConfig, seed: int):
     """(covert rate, transmit power, solver result) of one scheme on one scenario;
-    the result is a ``SwspSolution``, ``MwmpSolution`` or ``BenchmarkResult``.
-    ``swsp_geom`` is ``config.geometry_swsp()`` when the caller derived it already."""
+    the result is a ``SwspSolution``, ``MwmpSolution`` or ``BenchmarkResult``."""
     if scheme == "swsp":
-        geom = config.geometry_swsp() if swsp_geom is None else swsp_geom
-        swsp_sc = dataclasses.replace(sc, geom=geom)
         # fixed absolute resolution: under a budget sweep the candidate power
         # grids stay nested, so the rate is exactly monotone in the budget
-        sol = swsp.solve(swsp_sc, config.delta_p())
+        sol = swsp.solve(sc, config.delta_p())
         return sol.rate, sol.p_opt, sol
     if scheme == "mwmp":
         sol = mwmp.solve(sc, config.pso_params(seed), k=config.willie_samples_k)
@@ -126,11 +121,14 @@ def run_sweep(config: ExperimentConfig, variable: str, values,
     swsp_geom = config.geometry_swsp() if "swsp" in schemes else None
     records = []
     for value in values:
-        # one scenario per trial and value, shared by every scheme
+        # one scenario per trial and value, shared by every scheme but swsp,
+        # which takes it on the single waveguide
         swept = [_apply_sweep_value(base, variable, value) for base in scenarios]
         for scheme in schemes:
-            for trial, (sc, seed) in enumerate(zip(swept, seeds)):
-                rate, power, _ = solve_scheme(scheme, sc, config, seed, swsp_geom)
+            instances = ([dataclasses.replace(sc, geom=swsp_geom) for sc in swept]
+                         if scheme == "swsp" else swept)
+            for trial, (sc, seed) in enumerate(zip(instances, seeds)):
+                rate, power, _ = solve_scheme(scheme, sc, config, seed)
                 records.append(SweepRecord(scheme, variable, value, trial,
                                            rate, power, seed))
     return records

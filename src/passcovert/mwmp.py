@@ -35,6 +35,10 @@ class PsoParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_bs", "n_ps", "iterations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_bs < 1 or self.n_ps < 1:
             raise ValueError("both swarms need at least one particle")
         if self.iterations < 1:

@@ -12,12 +12,11 @@ import pytest
 from passcovert import benchmarks, harness, mwmp, swsp
 from passcovert.channel import _effective_batch
 from passcovert.cli import main as cli_main
-from passcovert.config import ExperimentConfig
+from passcovert.config import ExperimentConfig, config_from_dict
 from passcovert.detection import (CovertnessSpec, NoiseUncertainty, WillieUncertainty,
                                   covert_power_rate, optimal_detection, total_error_rate,
                                   worst_case_gain)
 from passcovert.geometry import PassGeometry, PinchLayout
-from passcovert.scenario import Scenario
 
 from detection_reference import five_branch
 
@@ -112,17 +111,10 @@ def test_criterion_2_branch_equivalence():
 
 
 def _swsp_scenario(rng):
-    return Scenario(
-        r_b=np.array([rng.uniform(0, 25), rng.uniform(-7.5, 7.5), 0.0]),
-        willie=WillieUncertainty(
-            np.array([rng.uniform(0, 25), rng.uniform(-7.5, 7.5), 0.0]), 0.5),
-        noise_w=DEFAULTS.noise_uncertainty(),
-        covertness=CovertnessSpec(0.1),
-        sigma_b_sq=DEFAULTS.sigma_b_sq_watts,
-        p_max=DEFAULTS.p_max_watts,
-        geom=DEFAULTS.geometry_swsp(),
-        pc=DEFAULTS.phys_constants(),
-    )
+    return config_from_dict({
+        "bob_x_m": rng.uniform(0, 25), "bob_y_m": rng.uniform(-7.5, 7.5),
+        "willie_x_m": rng.uniform(0, 25), "willie_y_m": rng.uniform(-7.5, 7.5),
+    }).scenario("swsp")
 
 
 def _disk_worst_xi(sc, x, power):
@@ -215,16 +207,10 @@ def test_criterion_5_power_saturation():
 
 
 def _desk_scenario():
-    return Scenario(
-        r_b=np.array([15.0, 4.0, 0.0]),
-        willie=WillieUncertainty(np.array([5.0, -8.0, 0.0]), 0.5),
-        noise_w=DEFAULTS.noise_uncertainty(),
-        covertness=CovertnessSpec(0.1),
-        sigma_b_sq=DEFAULTS.sigma_b_sq_watts,
-        p_max=DEFAULTS.p_max_watts,
-        geom=PassGeometry(3.0, 25.0, 2, 1, (-1.5, 1.5), 0.0054),
-        pc=DEFAULTS.phys_constants(),
-    )
+    return config_from_dict({
+        "num_waveguides": 2, "pas_per_waveguide": 1, "pa_spacing_m": 0.0054,
+        "bob_x_m": 15.0, "bob_y_m": 4.0, "willie_x_m": 5.0, "willie_y_m": -8.0,
+    }).scenario("mwmp")
 
 
 def _desk_oracle(sc):

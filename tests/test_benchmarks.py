@@ -9,24 +9,15 @@ from passcovert.benchmarks import (BenchmarkKind, DegenerateChannelError, evalua
                                    heuristic_pass_layout, mrt_weights, ula_channel,
                                    ula_channels, ula_positions, zf_weights)
 from passcovert.channel import beam_gain, los_coeff
-from passcovert.config import ExperimentConfig
-from passcovert.detection import CovertnessSpec, NoiseUncertainty, WillieUncertainty
+from passcovert.config import ExperimentConfig, config_from_dict
 from passcovert.geometry import BeamVector, PassGeometry, PinchLayout
-from passcovert.scenario import Scenario
 
 
 def _scenario(bob=(20.0, 6.0), willie=(7.0, -9.0), delta_r=0.5):
-    cfg = ExperimentConfig()
-    return Scenario(
-        r_b=np.array([bob[0], bob[1], 0.0]),
-        willie=WillieUncertainty(np.array([willie[0], willie[1], 0.0]), delta_r),
-        noise_w=NoiseUncertainty(cfg.sigma_w_sq_watts, cfg.delta_sigma),
-        covertness=CovertnessSpec(0.1),
-        sigma_b_sq=cfg.sigma_b_sq_watts,
-        p_max=cfg.p_max_watts,
-        geom=cfg.geometry_mwmp(),
-        pc=cfg.phys_constants(),
-    )
+    return config_from_dict({
+        "bob_x_m": bob[0], "bob_y_m": bob[1], "willie_x_m": willie[0],
+        "willie_y_m": willie[1], "delta_r_m": delta_r,
+    }).scenario("mwmp")
 
 
 def test_ula_positions_centered(pc28):

@@ -402,3 +402,24 @@ def test_swsp_fine_resolution_solves(tmp_path, capsys):
     assert float(coarse[4]) <= float(fine[4]) < float(coarse[4]) + 1e-3
     assert abs(float(fine[5]) - float(coarse[5])) < 1e-4
 
+
+
+@pytest.mark.parametrize("bad", [{"wg_spacing_m": 0}, {"num_waveguides": 0},
+                                 {"pas_per_waveguide": 100000}],
+                         ids=["stacked_waveguides", "no_waveguides", "pas_overflow"])
+@pytest.mark.parametrize("args, keys", [
+    (["swsp"], {}),
+    (["converge", "--case", "swsp"], {"converge_delta_p_watts": 0.05}),
+    (["pattern", "--case", "swsp"], {"pattern_res_m": 2.0}),
+], ids=["swsp", "converge_swsp", "pattern_swsp"])
+def test_single_waveguide_commands_skip_multi_waveguide_checks(tmp_path, capsys, args,
+                                                               keys, bad):
+    # these commands never build the multi-waveguide geometry, so a key that
+    # fails it (as the mwmp subcommand shows) leaves their output unchanged
+    assert main(["mwmp", "--config", _config_file(tmp_path, **bad)]) == 2
+    capsys.readouterr()
+    outs = []
+    for extra in ({}, bad):
+        assert main(args + ["--config", _config_file(tmp_path, **keys, **extra)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].count("\n") > 1

@@ -21,11 +21,12 @@ def _small_config(**over):
 
 def test_defaults_match_reported_setup(default_config):
     c = default_config
+    sc = c.scenario("mwmp")
     assert c.carrier_freq_hz == 28e9 and c.n_eff == 1.4
     assert c.p_max_watts == pytest.approx(1.0)
-    assert c.sigma_b_sq_watts == pytest.approx(1e-13)
-    assert c.sigma_w_sq_watts == pytest.approx(1e-10)
-    assert c.delta_sigma == pytest.approx(10**0.2)
+    assert sc.sigma_b_sq == pytest.approx(1e-13)
+    assert sc.noise_w.nominal == pytest.approx(1e-10)
+    assert sc.noise_w.delta == pytest.approx(10**0.2)
     assert c.height_m == 3.0 and c.waveguide_length_m == 25.0
     assert c.num_waveguides == 4 and c.pas_per_waveguide == 3
     assert c.pa_spacing() == pytest.approx(c.phys_constants().wavelength / 2)
@@ -33,8 +34,7 @@ def test_defaults_match_reported_setup(default_config):
     assert c.pso_pop_bs == 30 and c.pso_pop_ps == 30
     assert c.pso_iterations == 100
     assert c.trials == 200
-    geom = c.geometry_mwmp()
-    np.testing.assert_allclose(geom.wg_y_array, [-4.5, -1.5, 1.5, 4.5])
+    np.testing.assert_allclose(sc.geom.wg_y_array, [-4.5, -1.5, 1.5, 4.5])
 
 
 def test_config_file_round_trip(tmp_path):
@@ -60,11 +60,11 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 def test_config_rejects_stacked_waveguides():
     with pytest.raises(ValueError, match="distinct"):
-        config_from_dict({"wg_spacing_m": 0}).geometry_mwmp()
+        config_from_dict({"wg_spacing_m": 0}).scenario("mwmp")
     # a negative spacing only mirrors the layout; one waveguide needs no spacing
-    mirrored = config_from_dict({"wg_spacing_m": -3.0}).geometry_mwmp()
+    mirrored = config_from_dict({"wg_spacing_m": -3.0}).scenario("mwmp").geom
     np.testing.assert_allclose(mirrored.wg_y_array, [4.5, 1.5, -1.5, -4.5])
-    single = config_from_dict({"num_waveguides": 1, "wg_spacing_m": 0}).geometry_mwmp()
+    single = config_from_dict({"num_waveguides": 1, "wg_spacing_m": 0}).scenario("mwmp").geom
     assert single.wg_y == (0.0,)
     with pytest.raises(ValueError, match="valid keys"):
         config_from_dict({"pa_min_spacing_m": 0.005})

@@ -7,28 +7,19 @@ import pytest
 
 from passcovert import mwmp
 from passcovert.channel import beam_gain
-from passcovert.config import ExperimentConfig
-from passcovert.detection import (CovertnessSpec, NoiseUncertainty, WillieUncertainty,
-                                  covert_power_rate, sample_region, worst_case_gain)
-from passcovert.geometry import BeamVector, PassGeometry, PinchLayout
+from passcovert.config import config_from_dict
+from passcovert.detection import covert_power_rate, sample_region, worst_case_gain
+from passcovert.geometry import BeamVector, PinchLayout
 from passcovert.mwmp import PsoParams, init_swarms, solve, step
-from passcovert.scenario import Scenario
 from passcovert.swsp import achievable_rate
 
 
 def _scenario(n=2, m=1, bob=(15.0, 4.0), willie=(5.0, -8.0), rho=0.1, length=25.0):
-    cfg = ExperimentConfig()
-    wg_y = tuple(np.linspace(-1.5 * (n - 1), 1.5 * (n - 1), n)) if n > 1 else (0.0,)
-    return Scenario(
-        r_b=np.array([bob[0], bob[1], 0.0]),
-        willie=WillieUncertainty(np.array([willie[0], willie[1], 0.0]), 0.5),
-        noise_w=NoiseUncertainty(cfg.sigma_w_sq_watts, cfg.delta_sigma),
-        covertness=CovertnessSpec(rho),
-        sigma_b_sq=cfg.sigma_b_sq_watts,
-        p_max=cfg.p_max_watts,
-        geom=PassGeometry(3.0, length, n, m, wg_y, 0.0054),
-        pc=cfg.phys_constants(),
-    )
+    return config_from_dict({
+        "num_waveguides": n, "pas_per_waveguide": m, "waveguide_length_m": length,
+        "pa_spacing_m": 0.0054, "bob_x_m": bob[0], "bob_y_m": bob[1],
+        "willie_x_m": willie[0], "willie_y_m": willie[1], "rho_w": rho,
+    }).scenario("mwmp")
 
 
 def _optimal_power(layout, w_tilde, samples, gamma_w, p_max, pc):
@@ -229,3 +220,13 @@ def test_solve_recomputes_channel_only_when_layout_best_moves(monkeypatch):
     # one position-half call per step, plus one beamforming-half call on the
     # first step and after each step that moved the position global best
     assert params.iterations + 1 <= len(calls) <= 2 * params.iterations - 1
+
+
+@pytest.mark.parametrize("field, value", [("iterations", float("nan")), ("iterations", 2.0),
+                                          ("n_bs", 2.5), ("n_ps", True), ("n_bs", np.float64(3)),
+                                          ("iterations", "3")])
+def test_pso_params_reject_non_integers(field, value):
+    # a float or bool count would pass the range checks and fail in numpy inside solve
+    with pytest.raises(ValueError, match=field):
+        PsoParams(**{field: value})
+    assert getattr(PsoParams(**{field: np.int64(3)}), field) == 3

@@ -6,28 +6,21 @@ import numpy as np
 import pytest
 
 from passcovert import harness, swsp
-from passcovert.config import ExperimentConfig
-from passcovert.detection import (CovertnessSpec, NoiseUncertainty, WillieUncertainty,
-                                  optimal_detection)
+from passcovert.config import ExperimentConfig, config_from_dict
+from passcovert.detection import optimal_detection
 from passcovert.geometry import PassGeometry
-from passcovert.scenario import Scenario
 from passcovert.swsp import (_grid_size, _positions_at, _rates, achievable_rate,
                              forbidden_zone, optimal_position, rate_trace, solve)
 
 
 def _scenario(bob=(20.0, 6.0), willie=(7.0, -9.0), rho=0.1, delta_r=0.5,
               p_max=1.0, length=25.0):
-    cfg = ExperimentConfig()
-    return Scenario(
-        r_b=np.array([bob[0], bob[1], 0.0]),
-        willie=WillieUncertainty(np.array([willie[0], willie[1], 0.0]), delta_r),
-        noise_w=NoiseUncertainty(cfg.sigma_w_sq_watts, cfg.delta_sigma),
-        covertness=CovertnessSpec(rho),
-        sigma_b_sq=cfg.sigma_b_sq_watts,
-        p_max=p_max,
-        geom=PassGeometry.single_waveguide(3.0, length),
-        pc=cfg.phys_constants(),
-    )
+    cfg = config_from_dict({
+        "waveguide_length_m": length, "pa_spacing_m": 0.1, "bob_x_m": bob[0],
+        "bob_y_m": bob[1], "willie_x_m": willie[0], "willie_y_m": willie[1],
+        "rho_w": rho, "delta_r_m": delta_r,
+    })
+    return dataclasses.replace(cfg.scenario("swsp"), p_max=p_max)
 
 
 def _disk_points(sc, n_angles=60, n_radii=18):
@@ -274,22 +267,21 @@ def _sweep_cases():
 
 def _exactness_cases():
     """(scenario, delta_p) pairs: sweep-shaped solves, then random stress scenarios."""
-    cfg = ExperimentConfig()
     yield from _sweep_cases()
     rng = np.random.default_rng(20251018)
     for _ in range(1800):
         length = rng.uniform(5.0, 40.0)
-        sc = Scenario(
-            r_b=np.array([rng.uniform(-8.0, length + 8.0), rng.uniform(-10.0, 10.0), 0.0]),
-            willie=WillieUncertainty(
-                np.array([rng.uniform(-5.0, length + 5.0), rng.uniform(-10.0, 10.0), 0.0]),
-                rng.uniform(0.0, 6.0)),
-            noise_w=NoiseUncertainty(cfg.sigma_w_sq_watts, cfg.delta_sigma),
-            covertness=CovertnessSpec(0.6 * (1.0 - rng.uniform())),  # (0, 0.6]
-            sigma_b_sq=cfg.sigma_b_sq_watts,
+        # entries and keywords in the order of their draws
+        cfg = config_from_dict({
+            "bob_x_m": rng.uniform(-8.0, length + 8.0), "bob_y_m": rng.uniform(-10.0, 10.0),
+            "willie_x_m": rng.uniform(-5.0, length + 5.0),
+            "willie_y_m": rng.uniform(-10.0, 10.0), "delta_r_m": rng.uniform(0.0, 6.0),
+            "rho_w": 0.6 * (1.0 - rng.uniform()),  # (0, 0.6]
+        })
+        sc = dataclasses.replace(
+            cfg.scenario("swsp"),
             p_max=10.0 ** ((rng.uniform(-10.0, 45.0) - 30.0) / 10.0),
             geom=PassGeometry.single_waveguide(rng.uniform(1.0, 5.0), length),
-            pc=cfg.phys_constants(),
         )
         # a step that does not divide p_max: 500 to 20,000 grid points
         yield sc, sc.p_max / (10.0 ** rng.uniform(2.7, 4.3) + 0.37)
