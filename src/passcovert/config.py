@@ -62,6 +62,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.willie_samples_k < 1:
             raise ValueError("willie_samples_k must be at least 1 (one sampling ring)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
     # ---- derived linear quantities ----
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ReceiverTerms, _effective_batch, beam_gain
-from .constants import PhysConstants
 from .detection import covert_power_rate, worst_case_gain
 from .geometry import PinchLayout
 from .scenario import Scenario
@@ -35,7 +34,7 @@ class PsoParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_bs", "n_ps", "iterations"):
+        for name in ("n_bs", "n_ps", "iterations", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -43,6 +42,8 @@ class PsoParams:
             raise ValueError("both swarms need at least one particle")
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass(eq=False)
@@ -54,42 +55,17 @@ class MwmpSolution:
     trace: np.ndarray  # best fitness after each iteration
 
 
-@dataclass(eq=False)
-class _EvalContext:
-    """Receivers and constants shared by every fitness evaluation of one solve."""
-
-    receivers: np.ndarray  # (1 + S, 3), Bob first
-    wg_y: np.ndarray
-    height: float
-    pa_offsets: np.ndarray  # (M,) spacing steps
-    usable_len: float
-    sigma_b_sq: float
-    gamma_w: float
-    p_max: float
-    pc: PhysConstants
-    terms: ReceiverTerms  # the kernel's receiver side, built once per solve
-
-
-def _context(sc: Scenario, k: int) -> _EvalContext:
-    receivers = np.vstack([sc.r_b[None, :], sc.willie_samples(k)])
-    geom = sc.geom
-    wg_y = geom.wg_y_array
-    return _EvalContext(receivers, wg_y, geom.height,
-                        np.arange(geom.m_pa) * geom.pa_spacing, geom.usable_length,
-                        sc.sigma_b_sq, sc.gain_budget(), sc.p_max, sc.pc,
-                        ReceiverTerms(receivers, wg_y, geom.height))
-
-
-def _channels(ps_pos: np.ndarray, ctx: _EvalContext) -> np.ndarray:
+def _channels(ps_pos: np.ndarray, swarms: TwinSwarms) -> np.ndarray:
     """Effective channels (J, 1 + S, N) of a batch (J, N) of normalized layouts."""
-    pa_x = ps_pos[:, :, None] * ctx.usable_len + ctx.pa_offsets[None, None, :]
-    return _effective_batch(pa_x, ctx.wg_y, ctx.height, ctx.receivers, ctx.pc, ctx.terms)
+    pa_x = ps_pos[:, :, None] * swarms.usable_len + swarms.pa_offsets[None, None, :]
+    return _effective_batch(pa_x, swarms.wg_y, swarms.sc.geom.height, swarms.receivers,
+                            swarms.sc.pc, swarms.terms)
 
 
-def _fitness(gains: np.ndarray, ctx: _EvalContext) -> np.ndarray:
+def _fitness(gains: np.ndarray, swarms: TwinSwarms) -> np.ndarray:
     """Covert rate of each row of receiver gains (J, 1 + S), Bob's gain first."""
-    return covert_power_rate(gains[:, 0], gains[:, 1:].max(axis=1), ctx.gamma_w, ctx.p_max,
-                             ctx.sigma_b_sq)[1]
+    return covert_power_rate(gains[:, 0], gains[:, 1:].max(axis=1), swarms.gamma_w,
+                             swarms.sc.p_max, swarms.sc.sigma_b_sq)[1]
 
 
 def _clip(x: np.ndarray, lo: float, hi: float) -> None:
@@ -156,11 +132,20 @@ class Swarm:
 
 @dataclass(eq=False)
 class TwinSwarms:
-    """Mutable optimizer state; positions always satisfy their constraints."""
+    """The state of one solve: both swarms, their generator, and the receivers
+    and kernel terms every fitness evaluation shares. Positions always satisfy
+    their constraints."""
 
     ps: Swarm  # normalized first-antenna positions, real (n_ps, N) in [0, 1]
     bs: Swarm  # beamforming weights, complex unit rows (n_bs, N)
     rng: np.random.Generator
+    sc: Scenario
+    receivers: np.ndarray  # (1 + S, 3), Bob first
+    wg_y: np.ndarray
+    pa_offsets: np.ndarray  # (M,) spacing steps
+    usable_len: float
+    gamma_w: float
+    terms: ReceiverTerms  # the kernel's receiver side, built once per solve
     # channels of the layout ps.glo_pos for the beamforming half; None until
     # the first step and again whenever ps.glo_pos moves
     bs_channel: np.ndarray | None = None
@@ -182,37 +167,44 @@ def _renormalize_rows(pos: np.ndarray, rng: np.random.Generator) -> None:
     pos /= norms
 
 
-def init_swarms(n_wg: int, params: PsoParams, rng: np.random.Generator) -> TwinSwarms:
-    """Random start: PS uniform on [0,1]^N, BS complex-normal rows normalized,
-    random global-best positions."""
-    ps_pos = rng.random((params.n_ps, n_wg))
-    bs_pos = _random_unit_rows(rng, params.n_bs, n_wg)
-    ps_glo = rng.random(n_wg)
-    bs_glo = _random_unit_rows(rng, 1, n_wg)[0]
-    return TwinSwarms(Swarm.start(ps_pos, ps_glo), Swarm.start(bs_pos, bs_glo), rng)
+def init_swarms(sc: Scenario, params: PsoParams, k: int) -> TwinSwarms:
+    """Random start from ``params.seed``: PS uniform on [0,1]^N, BS complex-normal
+    rows normalized, random global-best positions; Bob and the 4k + 1 warden
+    samples are the receivers."""
+    receivers = np.vstack([sc.r_b[None, :], sc.willie_samples(k)])
+    geom = sc.geom
+    wg_y = geom.wg_y_array
+    rng = np.random.default_rng(params.seed)
+    ps_pos = rng.random((params.n_ps, geom.n_wg))
+    bs_pos = _random_unit_rows(rng, params.n_bs, geom.n_wg)
+    ps_glo = rng.random(geom.n_wg)
+    bs_glo = _random_unit_rows(rng, 1, geom.n_wg)[0]
+    return TwinSwarms(Swarm.start(ps_pos, ps_glo), Swarm.start(bs_pos, bs_glo), rng, sc,
+                      receivers, wg_y, np.arange(geom.m_pa) * geom.pa_spacing,
+                      geom.usable_length, sc.gain_budget(),
+                      ReceiverTerms(receivers, wg_y, geom.height))
 
 
-def step(swarms: TwinSwarms, ctx: _EvalContext) -> tuple[float, float]:
+def step(swarms: TwinSwarms) -> tuple[float, float]:
     """One full alternating iteration; returns both swarms' global best scores.
 
     Random factors are drawn per dimension in a fixed order (PS cognitive, PS
     social, BS cognitive, BS social), so a seeded run is reproducible. The
-    beamforming half reuses ``swarms.bs_channel`` until ``ps.glo_pos`` moves,
-    so every step on one swarm state must see the same context.
+    beamforming half reuses ``swarms.bs_channel`` until ``ps.glo_pos`` moves.
     """
     ps, bs, rng = swarms.ps, swarms.bs, swarms.rng
 
     # position half: weights fixed to the BS global best
-    gains = np.abs(_channels(ps.pos, ctx) @ bs.glo_pos) ** 2
-    if ps.advance(_fitness(gains, ctx), rng):
+    gains = np.abs(_channels(ps.pos, swarms) @ bs.glo_pos) ** 2
+    if ps.advance(_fitness(gains, swarms), rng):
         swarms.bs_channel = None
     _clip(ps.pos, 0.0, 1.0)
 
     # beamforming half: layout fixed to the PS global best
     if swarms.bs_channel is None:
-        swarms.bs_channel = _channels(ps.glo_pos[None], ctx)[0]
+        swarms.bs_channel = _channels(ps.glo_pos[None], swarms)[0]
     gains = np.abs(bs.pos @ swarms.bs_channel.T) ** 2
-    bs.advance(_fitness(gains, ctx), rng)
+    bs.advance(_fitness(gains, swarms), rng)
     _renormalize_rows(bs.pos, rng)
 
     return ps.glo_score, bs.glo_score
@@ -220,20 +212,14 @@ def step(swarms: TwinSwarms, ctx: _EvalContext) -> tuple[float, float]:
 
 def solve(sc: Scenario, params: PsoParams, k: int = 1) -> MwmpSolution:
     """Run the twin-swarm optimizer and evaluate the returned pair."""
-    ctx = _context(sc, k)
-    rng = np.random.default_rng(params.seed)
-    swarms = init_swarms(sc.geom.n_wg, params, rng)
-    trace = np.empty(params.iterations)
-    best = -np.inf
-    for t in range(params.iterations):
-        ps_score, bs_score = step(swarms, ctx)
-        best = max(best, ps_score, bs_score)
-        trace[t] = best
+    swarms = init_swarms(sc, params, k)
+    # each global-best score only rises, so the larger one is the best so far
+    trace = np.array([max(step(swarms)) for _ in range(params.iterations)])
 
     w_tilde = swarms.bs.glo_pos
-    x_init = swarms.ps.glo_pos * ctx.usable_len
+    x_init = swarms.ps.glo_pos * swarms.usable_len
     layout = PinchLayout(sc.geom, x_init)
-    g_max = worst_case_gain(layout, w_tilde, ctx.receivers[1:], sc.pc)
+    g_max = worst_case_gain(layout, w_tilde, swarms.receivers[1:], sc.pc)
     g_bob = float(beam_gain(layout, w_tilde, sc.r_b[None, :], sc.pc)[0])
-    power, rate = covert_power_rate(g_bob, g_max, ctx.gamma_w, ctx.p_max, sc.sigma_b_sq)
+    power, rate = covert_power_rate(g_bob, g_max, swarms.gamma_w, sc.p_max, sc.sigma_b_sq)
     return MwmpSolution(w_tilde.copy(), x_init, float(power), float(rate), trace)

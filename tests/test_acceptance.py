@@ -216,21 +216,21 @@ def _desk_scenario():
 def _desk_oracle(sc):
     """Exhaustive search: 50x50 first-antenna positions times a 32x32 grid of
     per-waveguide phases (equal magnitudes, unit norm)."""
-    ctx = mwmp._context(sc, 1)
+    swarms = mwmp.init_swarms(sc, mwmp.PsoParams(), 1)
     g = np.linspace(0.0, 1.0, 50)
     pos = np.array(np.meshgrid(g, g, indexing="ij")).reshape(2, -1).T
     ph = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
     p1, p2 = np.meshgrid(ph, ph, indexing="ij")
     weights = np.stack([np.exp(1j * p1.ravel()), np.exp(1j * p2.ravel())],
                        axis=1) / np.sqrt(2.0)
-    pa_x = pos[:, :, None] * ctx.usable_len + ctx.pa_offsets[None, None, :]
-    eff = _effective_batch(pa_x, ctx.wg_y, ctx.height, ctx.receivers, ctx.pc)
+    pa_x = pos[:, :, None] * swarms.usable_len + swarms.pa_offsets[None, None, :]
+    eff = _effective_batch(pa_x, swarms.wg_y, sc.geom.height, swarms.receivers, sc.pc)
     best = -np.inf
     for i in range(0, weights.shape[0], 128):
         amp = np.einsum("krn,wn->krw", eff, weights[i:i + 128])
         gains = np.abs(amp) ** 2
-        rates = covert_power_rate(gains[:, 0, :], gains[:, 1:, :].max(axis=1), ctx.gamma_w,
-                                  ctx.p_max, ctx.sigma_b_sq)[1]
+        rates = covert_power_rate(gains[:, 0, :], gains[:, 1:, :].max(axis=1), swarms.gamma_w,
+                                  sc.p_max, sc.sigma_b_sq)[1]
         best = max(best, float(rates.max()))
     return best
 

@@ -296,6 +296,11 @@ _TINY_HEIGHT = {"height_m": 1e-200, "bob_x_m": 0, "bob_y_m": 0}
     ("mwmp", {"delta_sigma_db": 4000}, []),
     ("bench", {"sigma_w_dbm": 4000}, []),
     ("sweep", {}, ["--variable", "power_budget", "--values", "4000", "--schemes", "swsp"]),
+    # a negative seed once wrote -1 into swsp and bench records with exit 0, and
+    # ended mwmp and sweep in numpy's seeding error, which names no key
+    ("swsp", {"seed": -1}, []),
+    ("mwmp", {"seed": -1}, []),
+    ("sweep", {"seed": -1}, _SWEEP_ARGS),
 ], ids=["delta_r_nan", "delta_r_inf", "p_max_inf", "pso_pop_bs_zero", "n_wg_bool", "n_wg_fraction",
      "values_nan", "wg_stacked", "delta_p_negative", "delta_p_steps_overflow", "samples_k_zero",
      "carrier_underflow", "converge_grid_out_of_memory", "pattern_json", "pattern_res_zero",
@@ -307,7 +312,8 @@ _TINY_HEIGHT = {"height_m": 1e-200, "bob_x_m": 0, "bob_y_m": 0}
      "bench_bob_far", "mwmp_willie_far", "bench_willie_far", "mwmp_delta_r_huge",
      "bench_delta_r_huge", "sweep_delta_r_huge", "swsp_height_tiny", "mwmp_height_tiny_one_pa",
      "bench_height_tiny_one_pa", "swsp_p_max_overflow", "mwmp_delta_sigma_overflow",
-     "bench_sigma_w_overflow", "sweep_power_budget_overflow"])
+     "bench_sigma_w_overflow", "sweep_power_budget_overflow", "swsp_seed_negative",
+     "mwmp_seed_negative", "sweep_seed_negative"])
 def test_invalid_numeric_inputs_rejected(tmp_path, capsys, command, keys, extra):
     # each of these once printed a nan row, an unsafe full-power rate or a
     # silently coerced setting with exit 0, or died with a traceback
@@ -317,6 +323,18 @@ def test_invalid_numeric_inputs_rejected(tmp_path, capsys, command, keys, extra)
     assert captured.out == ""
     err_lines = [ln for ln in captured.err.splitlines() if ln]
     assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [["swsp"], ["mwmp"], ["bench"], ["sweep"] + _SWEEP_ARGS,
+                                  ["pattern"], ["pattern", "--case", "mwmp"], ["converge"],
+                                  ["converge", "--case", "swsp"]],
+                         ids=["swsp", "mwmp", "bench", "sweep", "pattern_swsp", "pattern_mwmp",
+                              "converge_mwmp", "converge_swsp"])
+def test_negative_seed_option_names_seed(tmp_path, capsys, args):
+    assert main(args + ["--config", _config_file(tmp_path), "--seed=-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be a non-negative integer, got -1\n"
 
 
 # the PSO update weights and velocity cap are mwmp constants, no longer keys

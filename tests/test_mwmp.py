@@ -30,9 +30,9 @@ def _optimal_power(layout, w_tilde, samples, gamma_w, p_max, pc):
 
 def _fitness(pos, w, sc):
     """Swarm fitness of one (normalized position, unit weight) pair at k = 1."""
-    ctx = mwmp._context(sc, 1)
-    gains = np.abs(mwmp._channels(pos[None], ctx) @ w) ** 2
-    return float(mwmp._fitness(gains, ctx)[0])
+    swarms = init_swarms(sc, PsoParams(), 1)
+    gains = np.abs(mwmp._channels(pos[None], swarms) @ w) ** 2
+    return float(mwmp._fitness(gains, swarms)[0])
 
 
 def test_clamp_ps():
@@ -116,9 +116,7 @@ def test_fitness_degenerate_matches_swsp():
 
 def test_step_stationary_when_converged():
     sc = _scenario()
-    params = PsoParams(n_bs=4, n_ps=4, seed=3)
-    rng = np.random.default_rng(params.seed)
-    swarms = init_swarms(2, params, rng)
+    swarms = init_swarms(sc, PsoParams(n_bs=4, n_ps=4, seed=3), 1)
     # collapse both swarms onto their global bests with zero velocity
     swarms.ps.pos[:] = swarms.ps.glo_pos
     swarms.ps.bests[0] = swarms.ps.glo_pos
@@ -126,7 +124,7 @@ def test_step_stationary_when_converged():
     swarms.bs.bests[0] = swarms.bs.glo_pos
     before_ps = swarms.ps.pos.copy()
     before_bs = swarms.bs.pos.copy()
-    step(swarms, mwmp._context(sc, 1))
+    step(swarms)
     # both attraction terms vanish, so nothing moves
     np.testing.assert_allclose(swarms.ps.pos, before_ps, atol=1e-15)
     np.testing.assert_allclose(swarms.bs.pos, before_bs, atol=1e-12)
@@ -134,12 +132,9 @@ def test_step_stationary_when_converged():
 
 def test_step_preserves_constraints_and_caps():
     sc = _scenario(n=3)
-    params = PsoParams(seed=11)
-    rng = np.random.default_rng(params.seed)
-    swarms = init_swarms(3, params, rng)
-    ctx = mwmp._context(sc, 1)
+    swarms = init_swarms(sc, PsoParams(seed=11), 1)
     for _ in range(25):
-        step(swarms, ctx)
+        step(swarms)
         assert np.all(swarms.ps.pos >= 0.0) and np.all(swarms.ps.pos <= 1.0)
         np.testing.assert_allclose(np.linalg.norm(swarms.bs.pos, axis=1), 1.0,
                                    atol=1e-12)
@@ -195,14 +190,13 @@ def test_sample_cross_feeds_power_control():
 
 def test_cached_beamforming_channel_tracks_position_global_best():
     sc = _scenario(n=3, m=3)
-    params = PsoParams(seed=17)
-    ctx = mwmp._context(sc, 1)
-    swarms = init_swarms(3, params, np.random.default_rng(params.seed))
+    swarms = init_swarms(sc, PsoParams(seed=17), 1)
     for _ in range(25):
-        step(swarms, ctx)
-        pa_x = (swarms.ps.glo_pos[None, :, None] * ctx.usable_len
-                + ctx.pa_offsets[None, None, :])
-        fresh = mwmp._effective_batch(pa_x, ctx.wg_y, ctx.height, ctx.receivers, ctx.pc)[0]
+        step(swarms)
+        pa_x = (swarms.ps.glo_pos[None, :, None] * swarms.usable_len
+                + swarms.pa_offsets[None, None, :])
+        fresh = mwmp._effective_batch(pa_x, swarms.wg_y, sc.geom.height, swarms.receivers,
+                                      sc.pc)[0]
         np.testing.assert_array_equal(swarms.bs_channel, fresh)
 
 
@@ -224,9 +218,26 @@ def test_solve_recomputes_channel_only_when_layout_best_moves(monkeypatch):
 
 @pytest.mark.parametrize("field, value", [("iterations", float("nan")), ("iterations", 2.0),
                                           ("n_bs", 2.5), ("n_ps", True), ("n_bs", np.float64(3)),
-                                          ("iterations", "3")])
+                                          ("iterations", "3"), ("seed", 2.5),
+                                          ("seed", float("nan")), ("seed", True), ("seed", -1)])
 def test_pso_params_reject_non_integers(field, value):
-    # a float or bool count would pass the range checks and fail in numpy inside solve
+    # a float or bool count would pass the range checks and fail in numpy inside
+    # solve, and so would any float, bool or negative seed
     with pytest.raises(ValueError, match=field):
         PsoParams(**{field: value})
     assert getattr(PsoParams(**{field: np.int64(3)}), field) == 3
+
+
+def test_solve_reads_trace_and_answer_off_the_stepped_swarms():
+    # a non-default shape: N = 3, M = 4, k = 2, swarms of 20 and 25
+    sc, k = _scenario(n=3, m=4), 2
+    params = PsoParams(n_bs=20, n_ps=25, iterations=30, seed=8)
+    swarms = init_swarms(sc, params, k)
+    best, running = -np.inf, []
+    for _ in range(params.iterations):
+        best = max(best, *step(swarms))
+        running.append(best)
+    sol = solve(sc, params, k)
+    assert sol.trace.tobytes() == np.array(running).tobytes()
+    assert sol.x_init.tobytes() == (swarms.ps.glo_pos * swarms.usable_len).tobytes()
+    assert sol.w_tilde.tobytes() == swarms.bs.glo_pos.tobytes()

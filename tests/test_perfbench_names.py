@@ -9,12 +9,13 @@ results of short solves, so a renamed result field fails here too.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from passcovert import harness
+from passcovert import benchmarks, harness, mwmp, swsp
 from passcovert.cli import _solved_beam
 from passcovert.config import config_from_dict
 
@@ -47,6 +48,17 @@ def test_every_passcovert_name_the_checks_use_exists():
     missing = [f"{module}.{attr}" for module, attr in sorted(used)
                if not hasattr(getattr(checks, module), attr)]
     assert missing == []
+
+
+def test_solver_arguments_the_tracer_binds_by_name_exist():
+    # the tracer binds captured calls by signature: layers.per_layer_metrics
+    # reads sc and delta_p of swsp.solve, checks.captured_solves kind and sc
+    def names(func):
+        return set(inspect.signature(func).parameters)
+
+    assert {"sc", "delta_p"} <= names(swsp.solve)
+    assert "sc" in names(mwmp.solve)
+    assert {"kind", "sc"} <= names(benchmarks.evaluate)
 
 
 def test_checks_read_what_solve_scheme_returns():
