@@ -74,9 +74,12 @@ def _apply_sweep_value(sc: Scenario, variable: str, value: float) -> Scenario:
     return dataclasses.replace(sc, willie=WillieUncertainty(sc.willie.center, value))
 
 
-def solve_scheme(scheme: str, sc: Scenario, config: ExperimentConfig, seed: int):
+def solve_scheme(scheme: str, sc: Scenario, config: ExperimentConfig, seed: int,
+                 channels: dict | None = None):
     """(covert rate, transmit power, solver result) of one scheme on one scenario;
-    the result is a ``SwspSolution``, ``MwmpSolution`` or ``BenchmarkResult``."""
+    the result is a ``SwspSolution``, ``MwmpSolution`` or ``BenchmarkResult``.
+    A reference scheme caches its channels in ``channels`` (see
+    ``benchmarks.evaluate``); the other schemes ignore it."""
     if scheme == "swsp":
         # fixed absolute resolution: under a budget sweep the candidate power
         # grids stay nested, so the rate is exactly monotone in the budget
@@ -87,7 +90,7 @@ def solve_scheme(scheme: str, sc: Scenario, config: ExperimentConfig, seed: int)
         return sol.rate, sol.power, sol
     if scheme in (k.value for k in benchmarks.BenchmarkKind):
         res = benchmarks.evaluate(benchmarks.BenchmarkKind(scheme), sc,
-                                  k=config.willie_samples_k)
+                                  k=config.willie_samples_k, channels=channels)
         return res.rate, res.power, res
     raise ValueError(f"unknown scheme {scheme!r}; valid schemes: " + ", ".join(SCHEMES))
 
@@ -119,16 +122,19 @@ def run_sweep(config: ExperimentConfig, variable: str, values,
     scenarios = sample_scenarios(config)
     seeds = [trial_seed(config.seed, trial) for trial in range(len(scenarios))]
     swsp_geom = config.geometry_swsp() if "swsp" in schemes else None
+    channels = [{} for _ in scenarios]
     records = []
     for value in values:
         # one scenario per trial and value, shared by every scheme but swsp,
         # which takes it on the single waveguide
         swept = [_apply_sweep_value(base, variable, value) for base in scenarios]
+        if variable == "uncertainty_radius":  # the value moves the warden samples
+            channels = [{} for _ in scenarios]
         for scheme in schemes:
             instances = ([dataclasses.replace(sc, geom=swsp_geom) for sc in swept]
                          if scheme == "swsp" else swept)
             for trial, (sc, seed) in enumerate(zip(instances, seeds)):
-                rate, power, _ = solve_scheme(scheme, sc, config, seed)
+                rate, power, _ = solve_scheme(scheme, sc, config, seed, channels[trial])
                 records.append(SweepRecord(scheme, variable, value, trial,
                                            rate, power, seed))
     return records

@@ -19,3 +19,17 @@ def default_config():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def channel_calls(monkeypatch):
+    """Number of calls, by name, of the reference schemes' two channel functions."""
+    from passcovert import benchmarks
+
+    calls = {"effective_channel_at": 0, "ula_channels": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(benchmarks, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(benchmarks, name, counted)
+    return calls

@@ -114,6 +114,12 @@ def test_single_subcommand_matches_golden(tmp_path, command):
     assert out.read_bytes() == golden.read_bytes()
 
 
+def test_bench_computes_each_family_channels_once(tmp_path, channel_calls):
+    # bench's four schemes share one scenario, so ZF and MRT share channels
+    assert main(["bench", "--out", str(tmp_path / "bench.csv")]) == 0
+    assert channel_calls == {"effective_channel_at": 1, "ula_channels": 1}
+
+
 def test_converge_mwmp_matches_golden(tmp_path):
     # the per-iteration best trace, averaged over three seeded swarms, at the
     # default antennas and at five per waveguide; the golden holds both outputs

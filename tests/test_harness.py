@@ -331,6 +331,52 @@ def test_emitted_rows_revalidate_post_hoc(tmp_path):
             assert np.all(beam_gain(layout, beam.weights, samples, base.pc) <= gamma_w + 1e-12)
 
 
+REFERENCE_SWEEPS = [("target_error_rate", [0.85, 0.9, 0.95]),
+                    ("power_budget", [10.0, 20.0, 25.0]),
+                    ("uncertainty_radius", [0.25, 0.5, 1.5])]
+
+
+@pytest.mark.parametrize("variable, values", REFERENCE_SWEEPS)
+def test_reference_channels_once_per_trial(channel_calls, variable, values):
+    # ZF and MRT of one family share a trial's channels, and so do all values
+    # but those of a radius sweep, which move the warden samples
+    trials = 3
+    run_sweep(_small_config(trials=trials), variable, values, SCHEMES[2:])
+    per_trial = len(values) if variable == "uncertainty_radius" else 1
+    assert channel_calls == {"effective_channel_at": per_trial * trials,
+                             "ula_channels": per_trial * trials}
+
+
+@pytest.mark.parametrize("variable, values", REFERENCE_SWEEPS)
+def test_cached_reference_records_resolve_without_the_cache(monkeypatch, variable, values):
+    # every record computed from shared channels re-solves bit for bit through
+    # one solve_scheme call without a cache, and keeps its own beam
+    from passcovert import benchmarks
+    from passcovert.harness import _apply_sweep_value, solve_scheme
+
+    cfg = _small_config(trials=3, willie_samples_k=2, num_waveguides=3, pas_per_waveguide=2)
+    evaluated = []
+    evaluate = benchmarks.evaluate
+
+    def recording(kind, sc, k=1, channels=None):
+        evaluated.append((evaluate(kind, sc, k, channels), channels))
+        return evaluated[-1][0]
+
+    monkeypatch.setattr(benchmarks, "evaluate", recording)
+    records = run_sweep(cfg, variable, values, SCHEMES[2:])
+    monkeypatch.undo()
+    assert len(records) == len(evaluated) == 4 * len(values) * cfg.trials
+    scenarios = sample_scenarios(cfg)
+    for row, (result, channels) in zip(records, evaluated):
+        sc = _apply_sweep_value(scenarios[row.trial], variable, row.sweep_value)
+        rate, power, alone = solve_scheme(row.scheme, sc, cfg, row.seed)
+        assert (rate, power) == (row.covert_rate, row.p_opt) == (result.rate, result.power)
+        assert np.array_equal(result.w_tilde, alone.w_tilde)
+        assert set(channels) == {"mimo", "pass"}
+        assert not any(np.shares_memory(result.w_tilde, eff) for eff in channels.values())
+    assert len({id(result.w_tilde) for result, _ in evaluated}) == len(evaluated)
+
+
 GOLDEN_SWEEPS = {
     "target_error_rate": [0.80, 0.85, 0.90, 0.95],
     "power_budget": [10.0, 15.0, 20.0, 25.0, 30.0],

@@ -79,3 +79,26 @@ def test_checks_read_what_solve_scheme_returns():
         want_layout, want_beam = checks.pattern_beam(case, sc, result)
         assert np.array_equal(layout.x_init, want_layout.x_init)
         assert np.array_equal(beam.weights, want_beam.weights)
+
+
+def test_channel_cache_leaves_the_bound_calls_alone():
+    # the shared channels travel as an optional argument: the tracer still
+    # binds kind and sc of one evaluate call per record, and the uncached call
+    # checks.resolve_record makes, evaluate(kind, sc, k=k), gives the same bits
+    for func in (benchmarks.evaluate, harness.solve_scheme):
+        assert inspect.signature(func).parameters["channels"].default is None
+    tracer = importlib.import_module("layers").Tracer()
+    tracer.wrap(benchmarks, "evaluate", "benchmarks.evaluate", capture=True)
+    try:
+        config = config_from_dict({"trials": 2, "willie_samples_k": 2})
+        records = harness.run_sweep(config, "power_budget", [10.0, 20.0], harness.SCHEMES[2:])
+    finally:
+        tracer.uninstall()
+    assert len(tracer.captures) == len(records)
+    for rec, (_, arguments, cached) in zip(records, tracer.captures):
+        kind, sc, k = arguments["kind"], arguments["sc"], arguments["k"]
+        assert kind.value == rec.scheme and arguments["channels"] is not None
+        alone = benchmarks.evaluate(kind, sc, k=k)
+        assert ((alone.rate, alone.power) == (cached.rate, cached.power)
+                == (rec.covert_rate, rec.p_opt))
+        assert np.array_equal(alone.w_tilde, cached.w_tilde)
