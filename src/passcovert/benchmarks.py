@@ -92,20 +92,21 @@ class BenchmarkResult:
     w_tilde: np.ndarray | None
 
 
-def evaluate(kind: BenchmarkKind, sc: Scenario, k: int = 1,
-             channels: dict | None = None) -> BenchmarkResult:
+def evaluate(kind: BenchmarkKind, sc: Scenario, k: int = 1) -> BenchmarkResult:
     """Rate of one reference scheme under the same sampled power control as the
     proposed solvers: ZF nulls the nominal warden position, MRT matches Bob,
     and the power saturates the gain budget over the warden sample set.
 
-    ``channels``, a dict the caller owns, caches the channels to Bob and the
-    warden samples per family (``"mimo"``, the fixed array, or ``"pass"``, the
-    heuristic layout), so ZF and MRT of one family compute them once. One dict
-    may serve only scenarios with the same Bob, warden disk, geometry,
-    constants and ``k``; the answer bits are the same with or without it.
+    Each family's channels to Bob and the warden samples (the fixed array's,
+    or the heuristic PASS layout's) are kept in ``sc.channels`` under every
+    input they are computed from. ZF and MRT of a family, and the scenarios
+    that ``dataclasses.replace`` derives from ``sc`` (which share the dict),
+    compute them once.
     """
     family = "mimo" if kind in (BenchmarkKind.MIMO_ZF, BenchmarkKind.MIMO_MRT) else "pass"
-    eff = None if channels is None else channels.get(family)
+    key = (family, k, sc.r_b.tobytes(), sc.willie.center.tobytes(), sc.willie.radius,
+           sc.geom, sc.pc)
+    eff = sc.channels.get(key)
     if eff is None:
         receivers = np.vstack([sc.r_b[None, :], sc.willie_samples(k)])
         if family == "mimo":
@@ -113,8 +114,7 @@ def evaluate(kind: BenchmarkKind, sc: Scenario, k: int = 1,
         else:
             layout = heuristic_pass_layout(sc.r_b, sc.geom)
             eff = effective_channel_at(layout, receivers, sc.pc)
-        if channels is not None:
-            channels[family] = eff
+        sc.channels[key] = eff
     h_b = eff[0]
     h_w = eff[1]  # sample set starts at the nominal center
     sample_ch = eff[1:]

@@ -237,10 +237,9 @@ def main(argv=None) -> int:
                 # the swsp subcommand never builds the multi-waveguide geometry,
                 # so its checks (e.g. on wg_spacing_m) cannot fail it
                 sc = config.scenario("swsp" if args.command == "swsp" else "mwmp")
-                records, channels = [], {}  # bench's ZF and MRT share their channels
+                records = []
                 for scheme in _SINGLE_SCHEMES[args.command]:
-                    rate, power, _ = harness.solve_scheme(scheme, sc, config, config.seed,
-                                                          channels)
+                    rate, power, _ = harness.solve_scheme(scheme, sc, config, config.seed)
                     records.append(harness.SweepRecord(scheme, "none", 0.0, 0, rate, power,
                                                        config.seed))
                 _emit_records(records, args)

@@ -146,8 +146,8 @@ def sample_region(wu: WillieUncertainty, k: int = 1) -> np.ndarray:
     The nominal center comes first, then +x/-x/+y/-y offsets at radii
     j*radius/k for j = 1..k; all points on the ground plane.
     """
-    if k < 1:
-        raise ValueError("need at least one sampling ring")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k, the number of sampling rings, must be an integer >= 1, got {k!r}")
     steps = np.arange(1, k + 1) * wu.radius / k
     offsets = steps[:, None, None] * _CROSS  # (k, 4, 3)
     return np.vstack([wu.center, (wu.center + offsets).reshape(-1, 3)])

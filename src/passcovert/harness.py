@@ -68,18 +68,22 @@ def sample_scenarios(config: ExperimentConfig) -> list[Scenario]:
 def _apply_sweep_value(sc: Scenario, variable: str, value: float) -> Scenario:
     """The scenario at one sweep value; ``run_sweep`` has validated ``variable``."""
     if variable == "target_error_rate":
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"target_error_rate sweep value {value} must lie in [0, 1]")
         return dataclasses.replace(sc, covertness=CovertnessSpec(1.0 - value))
     if variable == "power_budget":
         return dataclasses.replace(sc, p_max=dbm_to_watts(value, "power_budget sweep value"))
+    if not value >= 0.0:  # run_sweep has rejected non-finite values
+        raise ValueError(f"uncertainty_radius sweep value {value} must be a finite "
+                         "non-negative number")
     return dataclasses.replace(sc, willie=WillieUncertainty(sc.willie.center, value))
 
 
-def solve_scheme(scheme: str, sc: Scenario, config: ExperimentConfig, seed: int,
-                 channels: dict | None = None):
+def solve_scheme(scheme: str, sc: Scenario, config: ExperimentConfig, seed: int):
     """(covert rate, transmit power, solver result) of one scheme on one scenario;
-    the result is a ``SwspSolution``, ``MwmpSolution`` or ``BenchmarkResult``.
-    A reference scheme caches its channels in ``channels`` (see
-    ``benchmarks.evaluate``); the other schemes ignore it."""
+    the result is a ``SwspSolution``, ``MwmpSolution`` or ``BenchmarkResult``."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; valid schemes: " + ", ".join(SCHEMES))
     if scheme == "swsp":
         # fixed absolute resolution: under a budget sweep the candidate power
         # grids stay nested, so the rate is exactly monotone in the budget
@@ -88,11 +92,8 @@ def solve_scheme(scheme: str, sc: Scenario, config: ExperimentConfig, seed: int,
     if scheme == "mwmp":
         sol = mwmp.solve(sc, config.pso_params(seed), k=config.willie_samples_k)
         return sol.rate, sol.power, sol
-    if scheme in (k.value for k in benchmarks.BenchmarkKind):
-        res = benchmarks.evaluate(benchmarks.BenchmarkKind(scheme), sc,
-                                  k=config.willie_samples_k, channels=channels)
-        return res.rate, res.power, res
-    raise ValueError(f"unknown scheme {scheme!r}; valid schemes: " + ", ".join(SCHEMES))
+    res = benchmarks.evaluate(benchmarks.BenchmarkKind(scheme), sc, k=config.willie_samples_k)
+    return res.rate, res.power, res
 
 
 def run_sweep(config: ExperimentConfig, variable: str, values,
@@ -122,19 +123,16 @@ def run_sweep(config: ExperimentConfig, variable: str, values,
     scenarios = sample_scenarios(config)
     seeds = [trial_seed(config.seed, trial) for trial in range(len(scenarios))]
     swsp_geom = config.geometry_swsp() if "swsp" in schemes else None
-    channels = [{} for _ in scenarios]
     records = []
     for value in values:
         # one scenario per trial and value, shared by every scheme but swsp,
         # which takes it on the single waveguide
         swept = [_apply_sweep_value(base, variable, value) for base in scenarios]
-        if variable == "uncertainty_radius":  # the value moves the warden samples
-            channels = [{} for _ in scenarios]
         for scheme in schemes:
             instances = ([dataclasses.replace(sc, geom=swsp_geom) for sc in swept]
                          if scheme == "swsp" else swept)
             for trial, (sc, seed) in enumerate(zip(instances, seeds)):
-                rate, power, _ = solve_scheme(scheme, sc, config, seed, channels[trial])
+                rate, power, _ = solve_scheme(scheme, sc, config, seed)
                 records.append(SweepRecord(scheme, variable, value, trial,
                                            rate, power, seed))
     return records

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,7 @@ class Scenario:
     p_max: float  # W
     geom: PassGeometry
     pc: PhysConstants
+    channels: dict = field(default_factory=dict, repr=False)  # see benchmarks.evaluate
 
     def __post_init__(self):
         self.r_b = as_vec3(self.r_b)

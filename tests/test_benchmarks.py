@@ -10,6 +10,7 @@ from passcovert.benchmarks import (BenchmarkKind, DegenerateChannelError, evalua
                                    ula_channels, ula_positions, zf_weights)
 from passcovert.channel import beam_gain, los_coeff
 from passcovert.config import ExperimentConfig, config_from_dict
+from passcovert.detection import WillieUncertainty
 from passcovert.geometry import BeamVector, PassGeometry, PinchLayout
 
 
@@ -184,3 +185,45 @@ def test_mrt_beats_zf_under_orthogonal_channels():
     w_zf = zf_weights(h_b, h_w)
     w_mrt = mrt_weights(h_b)
     assert abs(h_b @ w_mrt) >= abs(h_b @ w_zf) - 1e-12
+
+
+def _bits(res):
+    return res.rate, res.power, None if res.w_tilde is None else res.w_tilde.tobytes()
+
+
+def test_channel_memo_never_answers_for_other_inputs():
+    # every scenario replace() derives shares one memo; a call on any of them,
+    # with any k and after an in-place edit, must give the bits of an empty
+    # memo, and each moved input must change some family's answer, which a
+    # stale entry would not
+    sc = _scenario(delta_r=2.0)  # inner rings of k = 2 move the PASS answers
+    other = {key: config_from_dict({key: value}).scenario("mwmp")
+             for key, value in (("wg_spacing_m", 2.0), ("num_waveguides", 2),
+                                ("carrier_freq_hz", 30e9))}
+    moves = {
+        "base": (sc, 1),
+        "bob": (dataclasses.replace(sc, r_b=(15.0, -3.0, 0.0)), 1),
+        "warden_center": (dataclasses.replace(
+            sc, willie=WillieUncertainty(np.array([9.0, -4.0, 0.0]), sc.willie.radius)), 1),
+        "radius": (dataclasses.replace(sc, willie=WillieUncertainty(sc.willie.center, 0.5)), 1),
+        "wg_spacing": (dataclasses.replace(sc, geom=other["wg_spacing_m"].geom), 1),
+        "num_waveguides": (dataclasses.replace(sc, geom=other["num_waveguides"].geom), 1),
+        "constants": (dataclasses.replace(sc, pc=other["carrier_freq_hz"].pc), 1),
+        "k": (sc, 2),
+    }
+    answers = {}
+    for name, (moved, k) in moves.items():
+        assert moved.channels is sc.channels
+        for kind in BenchmarkKind:  # both families fill the one memo
+            fresh = _bits(evaluate(kind, dataclasses.replace(moved, channels={}), k=k))
+            assert _bits(evaluate(kind, moved, k=k)) == fresh, (name, kind)
+            answers[name, kind] = fresh
+    sc.r_b[:] = (22.0, 1.0, 0.0)  # an in-place edit under the cached entries
+    for kind in BenchmarkKind:
+        fresh = _bits(evaluate(kind, dataclasses.replace(sc, channels={})))
+        assert _bits(evaluate(kind, sc)) == fresh, ("in_place", kind)
+        answers["in_place", kind] = fresh
+    for name in [*moves, "in_place"]:
+        assert name == "base" or any(answers[name, kind] != answers["base", kind]
+                                     for kind in BenchmarkKind), name
+    assert len(sc.channels) == 2 * (len(moves) + 1)  # one entry per family and input set

@@ -120,6 +120,20 @@ def test_bench_computes_each_family_channels_once(tmp_path, channel_calls):
     assert channel_calls == {"effective_channel_at": 1, "ula_channels": 1}
 
 
+
+def test_bench_zf_without_null_space_reports_zero(tmp_path):
+    # one waveguide gives one fixed antenna and one PASS branch: ZF has no
+    # null space, so it transmits nothing, while MRT still has a covert rate
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--config", _config_file(tmp_path, num_waveguides=1),
+                 "--out", str(out)]) == 0
+    rows = {row[0]: row for row in (ln.split(",") for ln in out.read_text().splitlines()[1:])}
+    assert set(rows) == {"mimo_zf", "mimo_mrt", "pass_zf", "pass_mrt"}
+    for scheme in ("mimo_zf", "pass_zf"):
+        assert (float(rows[scheme][4]), float(rows[scheme][5])) == (0.0, 0.0)
+    for scheme in ("mimo_mrt", "pass_mrt"):
+        assert float(rows[scheme][4]) > 0.0 and float(rows[scheme][5]) > 0.0
+
 def test_converge_mwmp_matches_golden(tmp_path):
     # the per-iteration best trace, averaged over three seeded swarms, at the
     # default antennas and at five per waveguide; the golden holds both outputs
@@ -307,6 +321,9 @@ _TINY_HEIGHT = {"height_m": 1e-200, "bob_x_m": 0, "bob_y_m": 0}
     ("swsp", {"seed": -1}, []),
     ("mwmp", {"seed": -1}, []),
     ("sweep", {"seed": -1}, _SWEEP_ARGS),
+    # out-of-range sweep values once named rho_w or the warden's radius
+    ("sweep", {}, ["--variable", "target_error_rate", "--values=1.5", "--schemes", "pass_zf"]),
+    ("sweep", {}, ["--variable", "uncertainty_radius", "--values=-1", "--schemes", "pass_zf"]),
 ], ids=["delta_r_nan", "delta_r_inf", "p_max_inf", "pso_pop_bs_zero", "n_wg_bool", "n_wg_fraction",
      "values_nan", "wg_stacked", "delta_p_negative", "delta_p_steps_overflow", "samples_k_zero",
      "carrier_underflow", "converge_grid_out_of_memory", "pattern_json", "pattern_res_zero",
@@ -319,7 +336,8 @@ _TINY_HEIGHT = {"height_m": 1e-200, "bob_x_m": 0, "bob_y_m": 0}
      "bench_delta_r_huge", "sweep_delta_r_huge", "swsp_height_tiny", "mwmp_height_tiny_one_pa",
      "bench_height_tiny_one_pa", "swsp_p_max_overflow", "mwmp_delta_sigma_overflow",
      "bench_sigma_w_overflow", "sweep_power_budget_overflow", "swsp_seed_negative",
-     "mwmp_seed_negative", "sweep_seed_negative"])
+     "mwmp_seed_negative", "sweep_seed_negative", "sweep_error_rate_above_one",
+     "sweep_radius_negative"])
 def test_invalid_numeric_inputs_rejected(tmp_path, capsys, command, keys, extra):
     # each of these once printed a nan row, an unsafe full-power rate or a
     # silently coerced setting with exit 0, or died with a traceback
@@ -330,6 +348,20 @@ def test_invalid_numeric_inputs_rejected(tmp_path, capsys, command, keys, extra)
     err_lines = [ln for ln in captured.err.splitlines() if ln]
     assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
 
+
+
+@pytest.mark.parametrize("variable, value, message", [
+    ("target_error_rate", "1.5", "target_error_rate sweep value 1.5 must lie in [0, 1]"),
+    ("uncertainty_radius", "-1",
+     "uncertainty_radius sweep value -1.0 must be a finite non-negative number"),
+])
+def test_out_of_range_sweep_value_names_its_variable(tmp_path, capsys, variable, value, message):
+    args = ["sweep", "--config", _config_file(tmp_path), "--variable", variable,
+            f"--values={value}", "--schemes", "pass_zf"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 @pytest.mark.parametrize("args", [["swsp"], ["mwmp"], ["bench"], ["sweep"] + _SWEEP_ARGS,
                                   ["pattern"], ["pattern", "--case", "mwmp"], ["converge"],

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from passcovert.channel import beam_gain
+from passcovert.config import ExperimentConfig
 from passcovert.detection import (CovertnessSpec, NoiseUncertainty, WillieUncertainty,
                                   covert_gain_budget, covert_power_rate, noise_pdf,
                                   optimal_detection, sample_region, total_error_rate,
@@ -236,6 +237,38 @@ def test_sample_region_properties(rng):
     with pytest.raises(ValueError):
         sample_region(wu, 0)
 
+
+
+@pytest.mark.parametrize("k", [1.5, np.float64(2.0), True], ids=["fraction", "np_float", "bool"])
+def test_sample_region_takes_only_integer_ring_counts(default_config, k):
+    # k = 1.5 once sampled a 0.5 m disk at 0.33 m and 0.67 m, outside the disk
+    # and never on its rim; the library callers pass k on unchecked, and each
+    # gets a fresh scenario, whose empty channel memo cannot answer k = True
+    from passcovert import benchmarks, harness, mwmp
+
+    with pytest.raises(ValueError, match="k, the number of sampling rings"):
+        sample_region(WillieUncertainty(np.array([7.0, -9.0, 0.0]), 0.5), k)
+    for kind in benchmarks.BenchmarkKind:
+        with pytest.raises(ValueError, match="k, the number of sampling rings"):
+            benchmarks.evaluate(kind, default_config.scenario("mwmp"), k=k)
+    with pytest.raises(ValueError, match="k, the number of sampling rings"):
+        mwmp.solve(default_config.scenario("mwmp"), mwmp.PsoParams(2, 2, 1), k=k)
+    config = ExperimentConfig(willie_samples_k=k)
+    for scheme in harness.SCHEMES[1:]:  # swsp samples no disk
+        with pytest.raises(ValueError, match="k, the number of sampling rings"):
+            harness.solve_scheme(scheme, config.scenario("mwmp"), config, 0)
+
+
+def test_sample_region_takes_numpy_integers(default_config):
+    from passcovert import benchmarks
+
+    wu = WillieUncertainty(np.array([7.0, -9.0, 0.0]), 0.5)
+    assert np.array_equal(sample_region(wu, np.int64(2)), sample_region(wu, 2))
+    for kind in benchmarks.BenchmarkKind:
+        got = benchmarks.evaluate(kind, default_config.scenario("mwmp"), k=np.int64(2))
+        want = benchmarks.evaluate(kind, default_config.scenario("mwmp"), k=2)
+        assert (got.rate, got.power) == (want.rate, want.power)
+        assert np.array_equal(got.w_tilde, want.w_tilde)
 
 def test_worst_case_gain(pc28):
     geom = PassGeometry(3.0, 25.0, 2, 1, (-1.5, 1.5), 0.0054)

@@ -347,10 +347,27 @@ def test_reference_channels_once_per_trial(channel_calls, variable, values):
                              "ula_channels": per_trial * trials}
 
 
+def test_zf_without_null_space_keeps_the_shared_channels(channel_calls):
+    # with one waveguide ZF has no null space and reports (0, 0) at every
+    # value, MRT stays positive, and each family's channels are still
+    # computed once per trial
+    trials, values = 2, [10.0, 20.0, 25.0]
+    records = run_sweep(_small_config(trials=trials, num_waveguides=1), "power_budget",
+                        values, SCHEMES[2:])
+    assert len(records) == 4 * len(values) * trials
+    for r in records:
+        if r.scheme.endswith("_zf"):
+            assert (r.covert_rate, r.p_opt) == (0.0, 0.0)
+        else:
+            assert r.covert_rate > 0.0 and r.p_opt > 0.0
+    assert channel_calls == {"effective_channel_at": trials, "ula_channels": trials}
+
+
 @pytest.mark.parametrize("variable, values", REFERENCE_SWEEPS)
 def test_cached_reference_records_resolve_without_the_cache(monkeypatch, variable, values):
-    # every record computed from shared channels re-solves bit for bit through
-    # one solve_scheme call without a cache, and keeps its own beam
+    # every record computed from the scenario's cached channels re-solves bit
+    # for bit through one solve_scheme call on a fresh scenario with an empty
+    # cache, and keeps its own beam
     from passcovert import benchmarks
     from passcovert.harness import _apply_sweep_value, solve_scheme
 
@@ -358,8 +375,8 @@ def test_cached_reference_records_resolve_without_the_cache(monkeypatch, variabl
     evaluated = []
     evaluate = benchmarks.evaluate
 
-    def recording(kind, sc, k=1, channels=None):
-        evaluated.append((evaluate(kind, sc, k, channels), channels))
+    def recording(kind, sc, k=1):
+        evaluated.append((evaluate(kind, sc, k), sc))
         return evaluated[-1][0]
 
     monkeypatch.setattr(benchmarks, "evaluate", recording)
@@ -367,13 +384,14 @@ def test_cached_reference_records_resolve_without_the_cache(monkeypatch, variabl
     monkeypatch.undo()
     assert len(records) == len(evaluated) == 4 * len(values) * cfg.trials
     scenarios = sample_scenarios(cfg)
-    for row, (result, channels) in zip(records, evaluated):
-        sc = _apply_sweep_value(scenarios[row.trial], variable, row.sweep_value)
+    for row, (result, cached) in zip(records, evaluated):
+        sc = dataclasses.replace(_apply_sweep_value(scenarios[row.trial], variable,
+                                                    row.sweep_value), channels={})
         rate, power, alone = solve_scheme(row.scheme, sc, cfg, row.seed)
         assert (rate, power) == (row.covert_rate, row.p_opt) == (result.rate, result.power)
         assert np.array_equal(result.w_tilde, alone.w_tilde)
-        assert set(channels) == {"mimo", "pass"}
-        assert not any(np.shares_memory(result.w_tilde, eff) for eff in channels.values())
+        assert {key[0] for key in cached.channels} == {"mimo", "pass"}
+        assert not any(np.shares_memory(result.w_tilde, eff) for eff in cached.channels.values())
     assert len({id(result.w_tilde) for result, _ in evaluated}) == len(evaluated)
 
 

@@ -8,6 +8,7 @@ results of short solves, so a renamed result field fails here too.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -82,11 +83,12 @@ def test_checks_read_what_solve_scheme_returns():
 
 
 def test_channel_cache_leaves_the_bound_calls_alone():
-    # the shared channels travel as an optional argument: the tracer still
-    # binds kind and sc of one evaluate call per record, and the uncached call
-    # checks.resolve_record makes, evaluate(kind, sc, k=k), gives the same bits
-    for func in (benchmarks.evaluate, harness.solve_scheme):
-        assert inspect.signature(func).parameters["channels"].default is None
+    # the channels travel inside the scenario: the tracer still binds kind, sc
+    # and k of one evaluate call per record, and the uncached call
+    # checks.resolve_record makes on its fresh scenarios gives the same bits
+    assert list(inspect.signature(benchmarks.evaluate).parameters) == ["kind", "sc", "k"]
+    assert (list(inspect.signature(harness.solve_scheme).parameters)
+            == ["scheme", "sc", "config", "seed"])
     tracer = importlib.import_module("layers").Tracer()
     tracer.wrap(benchmarks, "evaluate", "benchmarks.evaluate", capture=True)
     try:
@@ -96,9 +98,11 @@ def test_channel_cache_leaves_the_bound_calls_alone():
         tracer.uninstall()
     assert len(tracer.captures) == len(records)
     for rec, (_, arguments, cached) in zip(records, tracer.captures):
+        assert arguments.keys() == {"kind", "sc", "k"}
         kind, sc, k = arguments["kind"], arguments["sc"], arguments["k"]
-        assert kind.value == rec.scheme and arguments["channels"] is not None
-        alone = benchmarks.evaluate(kind, sc, k=k)
+        assert kind.value == rec.scheme and k == config.willie_samples_k
+        # on the captured sc itself the memo would answer
+        alone = benchmarks.evaluate(kind, dataclasses.replace(sc, channels={}), k=k)
         assert ((alone.rate, alone.power) == (cached.rate, cached.power)
                 == (rec.covert_rate, rec.p_opt))
         assert np.array_equal(alone.w_tilde, cached.w_tilde)
