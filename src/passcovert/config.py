@@ -60,6 +60,11 @@ class ExperimentConfig:
     seed: int = 20250801
 
     def __post_init__(self):
+        for key, kind in _KINDS.items():
+            value = getattr(self, key)
+            if kind == "int" and (isinstance(value, bool)
+                                  or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"config key {key!r} must be a whole number, got {value!r}")
         if self.willie_samples_k < 1:
             raise ValueError("willie_samples_k must be at least 1 (one sampling ring)")
         if self.seed < 0:

@@ -60,17 +60,6 @@ class CovertnessSpec:
             raise ValueError("rho_w must lie in [0, 1]")
 
 
-def noise_pdf(v, nu: NoiseUncertainty):
-    """Density of the warden noise power at ``v`` watts (0 outside the support)."""
-    vv = np.asarray(v, dtype=float)
-    if np.any(vv <= 0.0):
-        raise ValueError("noise power must be positive")
-    lo, hi = nu.support
-    inside = (vv >= lo) & (vv <= hi)
-    out = np.where(inside, 1.0 / (2.0 * np.log(nu.delta) * vv), 0.0)
-    return float(out) if np.isscalar(v) or np.ndim(v) == 0 else out
-
-
 def _noise_cdf(v, nu: NoiseUncertainty):
     """CDF of the log-uniform noise power; accepts any real v (<=0 maps to 0)."""
     lo, hi = nu.support

@@ -42,13 +42,14 @@ def trial_seed(master_seed: int, trial: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def sample_scenarios(config: ExperimentConfig) -> list[Scenario]:
+def sample_scenarios(config: ExperimentConfig, kind: str = "mwmp") -> list[Scenario]:
     """``config.trials`` draws of Bob and the nominal warden center, uniform
-    over the ground region."""
+    over the ground region, on ``config.scenario(kind)``; the draws do not
+    depend on ``kind``."""
     if config.trials < 1:
         raise ValueError("need at least one scenario")
     rng = np.random.default_rng(config.seed)
-    template = config.scenario("mwmp")
+    template = config.scenario(kind)
     x_hi = config.waveguide_length_m
     out = []
     for _ in range(config.trials):
@@ -120,7 +121,8 @@ def run_sweep(config: ExperimentConfig, variable: str, values,
     for s in schemes:
         if s not in SCHEMES:
             raise ValueError(f"unknown scheme {s!r}; valid schemes: " + ", ".join(SCHEMES))
-    scenarios = sample_scenarios(config)
+    # a sweep of swsp alone never builds the multi-waveguide geometry
+    scenarios = sample_scenarios(config, "swsp" if schemes == ("swsp",) else "mwmp")
     seeds = [trial_seed(config.seed, trial) for trial in range(len(scenarios))]
     swsp_geom = config.geometry_swsp() if "swsp" in schemes else None
     records = []

@@ -63,32 +63,20 @@ def forbidden_zone(power: float, sc: Scenario) -> ForbiddenZone:
 
 
 def _positions_for(powers: np.ndarray, sc: Scenario) -> np.ndarray:
-    """Optimal antenna x per power; NaN where the feasible set is empty.
-
-    The feasible set is [0, L] minus the open zone interior: zone boundary
-    points satisfy the covertness constraint with equality and stay feasible.
-    """
+    """Optimal antenna x per power: Bob's x clamped to [0, L], or where the open
+    forbidden zone covers that point, the zone edge on [0, L] nearer Bob (the
+    left one on a tie); NaN where neither edge is on [0, L]. Zone edges meet the
+    covertness constraint with equality and stay feasible."""
     exists, x_lo, x_hi, _, _ = _zone_bounds(powers, sc)
     length = sc.geom.length
     x_b = sc.r_b[0]
     # min/max in place of np.clip, whose dispatch costs more than the work at
     # these sizes; the argument orders give np.clip's signed zeros for x_b = -0
     clamped = min(max(x_b, 0.0), length)
-
-    blocking = exists & (x_hi > 0.0) & (x_lo < length)
-    has_left = blocking & (x_lo >= 0.0)
-    has_right = blocking & (x_hi <= length)
-
-    # a candidate without its side is never chosen: its distance is inf below
-    cand_left = np.minimum(max(0.0, x_b), x_lo)
-    cand_right = np.minimum(np.maximum(x_b, x_hi), length)
-    dist_left = np.where(has_left, np.abs(cand_left - x_b), np.inf)
-    dist_right = np.where(has_right, np.abs(cand_right - x_b), np.inf)
-    # ties break toward the left candidate, i.e. the smaller coordinate
-    blocked_choice = np.where(dist_left <= dist_right, cand_left, cand_right)
-    blocked_choice = np.where(has_left | has_right, blocked_choice, np.nan)
-
-    return np.where(blocking, blocked_choice, clamped)
+    left, right = x_lo >= 0.0, x_hi <= length
+    edge = np.where(left & ~(right & (x_hi - x_b < x_b - x_lo)), x_lo,
+                    np.where(right, x_hi, np.nan))
+    return np.where(exists & (x_lo < clamped) & (clamped < x_hi), edge, clamped)
 
 
 def optimal_position(power: float, sc: Scenario) -> float | None:

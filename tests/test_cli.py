@@ -267,6 +267,9 @@ _TINY_HEIGHT = {"height_m": 1e-200, "bob_x_m": 0, "bob_y_m": 0}
     ("sweep", {}, ["--variable", "uncertainty_radius", "--values", "0.5,nan",
                    "--schemes", "swsp"]),
     ("mwmp", {"wg_spacing_m": 0}, []),
+    # a sweep of swsp alone skips the multi-waveguide checks; one with mwmp does not
+    ("sweep", {"wg_spacing_m": 0}, ["--variable", "power_budget", "--values", "10",
+                                    "--schemes", "swsp,mwmp"]),
     ("swsp", {"delta_p_watts": -1e-5}, []),
     ("swsp", {"delta_p_watts": 1e-300}, []),
     ("swsp", {"willie_samples_k": 0}, []),
@@ -324,8 +327,14 @@ _TINY_HEIGHT = {"height_m": 1e-200, "bob_x_m": 0, "bob_y_m": 0}
     # out-of-range sweep values once named rho_w or the warden's radius
     ("sweep", {}, ["--variable", "target_error_rate", "--values=1.5", "--schemes", "pass_zf"]),
     ("sweep", {}, ["--variable", "uncertainty_radius", "--values=-1", "--schemes", "pass_zf"]),
+    # error paths no other case reaches: no scenario to draw, no PSO iteration,
+    # and an integer past the float range
+    ("sweep", {"trials": 0}, _SWEEP_ARGS),
+    ("mwmp", {"pso_iterations": 0}, []),
+    ("sweep", {"trials": 10**400}, _SWEEP_ARGS),
 ], ids=["delta_r_nan", "delta_r_inf", "p_max_inf", "pso_pop_bs_zero", "n_wg_bool", "n_wg_fraction",
-     "values_nan", "wg_stacked", "delta_p_negative", "delta_p_steps_overflow", "samples_k_zero",
+     "values_nan", "wg_stacked", "sweep_swsp_mwmp_wg_stacked", "delta_p_negative",
+     "delta_p_steps_overflow", "samples_k_zero",
      "carrier_underflow", "converge_grid_out_of_memory", "pattern_json", "pattern_res_zero",
      "pattern_zero_power", "pattern_halfwidth_negative", "swsp_height_null", "mwmp_height_null",
      "sweep_height_null", "pattern_height_null", "sweep_trials_null", "sweep_seed_null",
@@ -337,7 +346,8 @@ _TINY_HEIGHT = {"height_m": 1e-200, "bob_x_m": 0, "bob_y_m": 0}
      "bench_height_tiny_one_pa", "swsp_p_max_overflow", "mwmp_delta_sigma_overflow",
      "bench_sigma_w_overflow", "sweep_power_budget_overflow", "swsp_seed_negative",
      "mwmp_seed_negative", "sweep_seed_negative", "sweep_error_rate_above_one",
-     "sweep_radius_negative"])
+     "sweep_radius_negative", "sweep_trials_zero", "mwmp_iterations_zero",
+     "sweep_trials_past_float_range"])
 def test_invalid_numeric_inputs_rejected(tmp_path, capsys, command, keys, extra):
     # each of these once printed a nan row, an unsafe full-power rate or a
     # silently coerced setting with exit 0, or died with a traceback
@@ -467,7 +477,8 @@ def test_swsp_fine_resolution_solves(tmp_path, capsys):
     (["swsp"], {}),
     (["converge", "--case", "swsp"], {"converge_delta_p_watts": 0.05}),
     (["pattern", "--case", "swsp"], {"pattern_res_m": 2.0}),
-], ids=["swsp", "converge_swsp", "pattern_swsp"])
+    (["sweep"] + _SWEEP_ARGS, {}),
+], ids=["swsp", "converge_swsp", "pattern_swsp", "sweep_swsp"])
 def test_single_waveguide_commands_skip_multi_waveguide_checks(tmp_path, capsys, args,
                                                                keys, bad):
     # these commands never build the multi-waveguide geometry, so a key that

@@ -70,6 +70,21 @@ def test_config_rejects_stacked_waveguides():
         config_from_dict({"pa_min_spacing_m": 0.005})
 
 
+@pytest.mark.parametrize("key", ["num_waveguides", "pas_per_waveguide", "willie_samples_k",
+                                 "pso_pop_bs", "pso_pop_ps", "pso_iterations", "trials",
+                                 "converge_inits", "seed"])
+def test_config_int_keys_reject_non_integers(key):
+    # 1.5 once built a config that failed later in range() or named k or iterations
+    for value in (1.5, np.float64(2.0), True):
+        message = f"config key {key!r} must be a whole number, got {value!r}"
+        with pytest.raises(ValueError) as built:
+            ExperimentConfig(**{key: value})
+        with pytest.raises(ValueError) as replaced:
+            dataclasses.replace(ExperimentConfig(), **{key: value})
+        assert str(built.value) == str(replaced.value) == message
+    assert getattr(ExperimentConfig(**{key: np.int64(2)}), key) == 2
+
+
 def test_sample_scenarios_region_and_determinism():
     cfg = _small_config(trials=200)
     scs = sample_scenarios(cfg)

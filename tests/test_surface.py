@@ -24,7 +24,6 @@ ORACLES = {
     "inwg_phase": "one in-waveguide phase, the kernel's guided term",
     "inwg_vector": "the in-waveguide channel of one waveguide, for the dense-matrix oracle",
     "freespace_vector": "the free-space channel of one waveguide, for the dense-matrix oracle",
-    "noise_pdf": "the warden's log-uniform noise density, checked by quadrature",
     "total_error_rate": "the warden's error rate at any threshold, beside its optimum",
     "optimal_detection": "the warden's optimal threshold and error rate in closed form",
     "forbidden_zone": "the swsp forbidden interval at one power, in closed form",

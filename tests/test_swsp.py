@@ -1,13 +1,14 @@
 """Single-antenna solver against brute-force covertness scans and rate grids."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from passcovert import harness, swsp
 from passcovert.config import ExperimentConfig, config_from_dict
-from passcovert.detection import optimal_detection
+from passcovert.detection import WillieUncertainty, optimal_detection
 from passcovert.geometry import PassGeometry
 from passcovert.swsp import (_grid_size, _positions_at, _rates, achievable_rate,
                              forbidden_zone, optimal_position, rate_trace, solve)
@@ -128,6 +129,60 @@ def test_optimal_position_boundary_case():
 def test_optimal_position_infeasible():
     sc = _scenario()
     assert optimal_position(1.0, sc) is None  # the 345 m zone swallows the waveguide
+
+
+def _reference_position(x_b, length, interval):
+    """The point of {Bob's x clamped to [0, L], zone left edge, zone right edge}
+    on [0, L] and outside the open zone nearest to x_b (the smaller on a tie),
+    or None; every other feasible point lies farther from Bob than one of them."""
+    clamped = min(max(x_b, 0.0), length)
+    if interval is None:
+        return clamped
+    lo, hi = interval
+    points = [x for x in (clamped, lo, hi) if 0.0 <= x <= length and not lo < x < hi]
+    return min(points, key=lambda x: (abs(x - x_b), x)) if points else None
+
+
+def test_optimal_position_matches_reference_rule():
+    rng = np.random.default_rng(21)
+    base = _scenario()
+    length = base.geom.length
+    seen = {"clamped": 0, "left": 0, "right": 0, "none": 0, "tie": 0, "bob_outside": 0}
+    for i in range(400):
+        bob_x = [rng.uniform(0.0, length), rng.uniform(-10.0, length + 10.0), 0.0, length][i % 4]
+        # a warden over Bob makes both edges equally far; zones near an end reach past it
+        willie_x = [bob_x, rng.uniform(-5.0, 5.0), rng.uniform(length - 5.0, length + 5.0),
+                    rng.uniform(0.0, length)][rng.integers(4)]
+        sc = dataclasses.replace(
+            base, r_b=np.array([bob_x, rng.uniform(-7.5, 7.5), 0.0]),
+            willie=WillieUncertainty(np.array([willie_x, rng.uniform(-9.0, 9.0), 0.0]),
+                                     [0.0, 0.5, rng.uniform(0.0, 3.0)][i % 3]))
+        for power in 10 ** rng.uniform(-5.0, -0.5, 12):
+            interval = forbidden_zone(power, sc).interval
+            want = _reference_position(bob_x, length, interval)
+            assert optimal_position(power, sc) == want
+            if want is None:
+                seen["none"] += 1
+            elif interval is None or want not in interval:
+                seen["clamped"] += 1
+            else:
+                seen["left" if want == interval[0] else "right"] += 1
+                seen["tie"] += interval[1] - bob_x == bob_x - interval[0]
+                seen["bob_outside"] += not 0.0 <= bob_x <= length
+    assert min(seen.values()) > 0, seen
+
+
+def test_optimal_position_keeps_clip_signed_zero():
+    # Bob at x = -0.0 takes np.clip's -0.0 whether or not a zone blocks part of
+    # the waveguide away from him
+    sc = _scenario(bob=(-0.0, 6.0), willie=(17.5, 0.0))
+    want = np.clip(-0.0, 0.0, sc.geom.length)
+    for power in (1e-7, 2e-3):
+        zone = forbidden_zone(power, sc).interval
+        assert (zone is None) == (power == 1e-7)
+        assert zone is None or 0.0 < zone[0] < sc.geom.length
+        x = optimal_position(power, sc)
+        assert x == 0.0 and math.copysign(1.0, x) == math.copysign(1.0, want) == -1.0
 
 
 def test_solve_unconstrained_budget():
