@@ -122,13 +122,16 @@ _DIGIT_PAIRS = np.frombuffer(
     "".join(f"{i:02d}" for i in range(100)).encode()
     + b"".join(f"{i:02d}".rstrip("0").encode().ljust(2, b"\0") for i in range(100)),
     np.uint16)
-# "0." and z = 0..3 zeros, right-aligned in the 5 bytes before the digits
-_FIXED_PREFIX = np.array([list(("0." + "0" * z).encode().rjust(5, b"\0")) for z in range(4)],
-                         np.uint8)
-# bytes per value in a block: prefix 0-4, 17 digits 5-21, separator 22, 0 at 23
+# "0." and z = 0..3 zeros, right-aligned in the 5 bytes before the digits, as
+# the first 8 bytes of a slot, whose last 3 the digits overwrite
+_FIXED_PREFIX = np.frombuffer(
+    b"".join(("0." + "0" * z).encode().rjust(5, b"\0").ljust(8, b"\0") for z in range(4)),
+    np.uint64)
+# bytes per gain slot: prefix 0-4, 17 digits 5-21, newline 22, 0 at 23; the
+# longest '%.17g' of a non-negative double, as 2.2250738585072009e-308, has 23
 _SLOT = 24
 # about how many pattern cells are formatted at once: a whole number of grid
-# rows, whose arrays and texts take about 350 KB (tracemalloc) at 2,048 cells
+# rows, whose arrays and texts take about 430 KB (tracemalloc) at 2,048 cells
 _PATTERN_BLOCK_CELLS = 2048
 
 
@@ -157,13 +160,20 @@ def _digits17(v: np.ndarray, z: np.ndarray) -> np.ndarray:
     return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
 
 
-def _format_g17(values: np.ndarray) -> list[str]:
-    """``'%.17g' % v`` for each value of a 1-D float array, byte for byte.
+def _text_table(values: np.ndarray, end: str) -> np.ndarray:
+    """``'%.17g' % v + end`` for each value of a 1-D float array, as one row of
+    ASCII bytes each, padded with 0 bytes to the longest."""
+    texts = np.array([f"{v:.17g}{end}" for v in values.tolist()], dtype=bytes)
+    return texts.view(np.uint8).reshape(len(texts), -1)
+
+
+def _gain_slots(values: np.ndarray) -> np.ndarray:
+    """``'%.17g\\n' % v`` for each value of a float array, byte for byte, as
+    ``_SLOT`` bytes per value padded with 0 bytes: shape ``values.shape + (_SLOT,)``.
 
     A value in [1e-4, 1) prints as "0.", z = 0..3 zeros and its 17
     significant digits less trailing zeros; those are written for the whole
-    array at once into a uint8 block whose 0 bytes are dropped. Any other
-    value is formatted by ``'%.17g'`` itself.
+    array at once. Any other value is formatted by ``'%.17g'`` itself.
     """
     fast = (values >= 1e-4) & (values < 1.0)
     v = np.where(fast, values, 0.5)  # no cast of inf or nan to int64 below
@@ -173,33 +183,32 @@ def _format_g17(values: np.ndarray) -> list[str]:
     # 19.6 below 10**17, so the rounding never carries into an 18th digit
     z = (v < 0.1).astype(np.intp) + (v < 0.01) + (v < 0.001)
     n = _digits17(v, z)
-    block = np.zeros((len(values), _SLOT), np.uint8)
-    block[:, :5] = _FIXED_PREFIX[z]
+    block = np.zeros(values.shape + (_SLOT,), np.uint8)
+    block.view(np.uint64)[..., 0] = _FIXED_PREFIX[z]
     pairs = block.view(np.uint16)  # pair j holds bytes 2j and 2j + 1
-    trailing = np.full(len(values), 100)  # 100 while every lower digit is 0
+    trailing = np.full(values.shape, 100)  # 100 while every lower digit is 0
     for j in range(10, 2, -1):
         q = n // 100
         r = n - 100 * q
-        pairs[:, j] = _DIGIT_PAIRS[r + trailing]
+        pairs[..., j] = _DIGIT_PAIRS[r + trailing]
         trailing[r != 0] = 0
         n = q
-    block[:, 5] = n + ord("0")
-    block[~fast] = 0
-    block[:, 22] = ord("\n")
-    texts = block[block != 0].tobytes().decode("ascii").split("\n")
-    texts.pop()  # the empty text after the last separator
-    slow = np.flatnonzero(~fast)
-    for i, value in zip(slow.tolist(), values[slow].tolist()):
-        texts[i] = "%.17g" % value
-    return texts
+    block[..., 5] = n + ord("0")
+    block[..., 22] = ord("\n")
+    slow = np.nonzero(~fast)
+    if slow[0].size:  # np.pad raises if a text is longer than the slot
+        texts = _text_table(values[slow], "\n")
+        block[slow] = np.pad(texts, ((0, 0), (0, _SLOT - texts.shape[1])))
+    return block
 
 
 def _pattern_csv(config: ExperimentConfig, case: str) -> Iterator[str]:
-    """The pattern CSV as an iterator of grid rows of text.
+    """The pattern CSV as an iterator of texts, one per block of grid rows.
 
-    The instance is solved and the grid evaluated before this returns, so a
-    bad input fails before any output is opened. The text is made one row at
-    a time as it is written: the whole map never sits in memory as one string.
+    The instance is solved, the grid evaluated and the x and y texts formatted
+    before this returns, so a bad input fails before any output is opened. The
+    text is made one block at a time as it is written: the whole map never sits
+    in memory as one string.
     """
     res, half = config.pattern_res_m, config.pattern_y_halfwidth_m
     if not res > 0.0:
@@ -210,20 +219,23 @@ def _pattern_csv(config: ExperimentConfig, case: str) -> Iterator[str]:
     xs = np.linspace(0.0, sc.geom.length, round(sc.geom.length / res) + 1)
     ys = np.linspace(-half, half, round(2.0 * half / res) + 1)
     grid = beam_pattern_grid(layout, beam, xs, ys, sc.pc)
-    # one "%" per grid row fills a template holding every y of the row with
-    # the row's gain texts, formatted a block of rows at a time
-    tails = [f",{y:.17g},%s\n" for y in ys]
+    # a block of grid rows is one uint8 array of cells, each an x, a y and a
+    # gain slot, whose 0 bytes are dropped to give its text
+    x_slots, y_slots = _text_table(xs, ","), _text_table(ys, ",")
+    wx, wy = x_slots.shape[1], y_slots.shape[1]
     step = max(1, _PATTERN_BLOCK_CELLS // len(ys))
 
-    def rows():
+    def blocks():
         yield "x,y,gain_normalized\n"
         for start in range(0, len(xs), step):
-            texts = _format_g17(grid[start:start + step].ravel())
-            for i, x in enumerate(xs[start:start + step].tolist()):
-                head = f"{x:.17g}"
-                yield (head + head.join(tails)) % tuple(texts[i * len(ys):(i + 1) * len(ys)])
+            gains = _gain_slots(grid[start:start + step])
+            block = np.empty(gains.shape[:2] + (wx + wy + _SLOT,), np.uint8)
+            block[..., :wx] = x_slots[start:start + step, None]
+            block[..., wx:wx + wy] = y_slots
+            block[..., wx + wy:] = gains
+            yield block[block != 0].tobytes().decode("ascii")
 
-    return rows()
+    return blocks()
 
 
 def main(argv=None) -> int:

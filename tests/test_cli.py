@@ -257,81 +257,136 @@ _SWEEP_ARGS = ["--variable", "power_budget", "--values", "10", "--schemes", "sws
 _TINY_HEIGHT = {"height_m": 1e-200, "bob_x_m": 0, "bob_y_m": 0}
 
 
-@pytest.mark.parametrize("command, keys, extra", [
-    ("swsp", {"delta_r_m": float("nan")}, []),
-    ("mwmp", {"delta_r_m": float("inf")}, []),
-    ("swsp", {"p_max_dbm": float("inf")}, []),
-    ("mwmp", {"pso_pop_bs": 0}, []),
-    ("mwmp", {"num_waveguides": True}, []),
-    ("mwmp", {"num_waveguides": 2.5}, []),
+@pytest.mark.parametrize("command, keys, extra, message", [
+    ("swsp", {"delta_r_m": float("nan")}, [],
+     "config key 'delta_r_m' must be a finite number, got nan"),
+    ("mwmp", {"delta_r_m": float("inf")}, [],
+     "config key 'delta_r_m' must be a finite number, got inf"),
+    ("swsp", {"p_max_dbm": float("inf")}, [],
+     "config key 'p_max_dbm' must be a finite number, got inf"),
+    ("mwmp", {"pso_pop_bs": 0}, [],
+     "both swarms need at least one particle"),
+    ("mwmp", {"num_waveguides": True}, [],
+     "config key 'num_waveguides' must be a finite number, got True"),
+    ("mwmp", {"num_waveguides": 2.5}, [],
+     "config key 'num_waveguides' must be a whole number, got 2.5"),
     ("sweep", {}, ["--variable", "uncertainty_radius", "--values", "0.5,nan",
-                   "--schemes", "swsp"]),
-    ("mwmp", {"wg_spacing_m": 0}, []),
+                   "--schemes", "swsp"],
+     "sweep values must be distinct finite numbers, got [0.5, nan]"),
+    ("mwmp", {"wg_spacing_m": 0}, [],
+     "waveguide y-coordinates must be distinct, got (-0.0, -0.0, 0.0, 0.0)"),
     # a sweep of swsp alone skips the multi-waveguide checks; one with mwmp does not
     ("sweep", {"wg_spacing_m": 0}, ["--variable", "power_budget", "--values", "10",
-                                    "--schemes", "swsp,mwmp"]),
-    ("swsp", {"delta_p_watts": -1e-5}, []),
-    ("swsp", {"delta_p_watts": 1e-300}, []),
-    ("swsp", {"willie_samples_k": 0}, []),
-    ("swsp", {"carrier_freq_hz": 5.9e-150}, []),
+                                    "--schemes", "swsp,mwmp"],
+     "waveguide y-coordinates must be distinct, got (-0.0, -0.0, 0.0, 0.0)"),
+    ("swsp", {"delta_p_watts": -1e-5}, [],
+     "power search resolution must be a finite positive number, got -1e-05"),
+    ("swsp", {"delta_p_watts": 1e-300}, [],
+     "power search resolution 1e-300 W gives more grid steps than fit in int64"),
+    ("swsp", {"willie_samples_k": 0}, [],
+     "willie_samples_k must be at least 1 (one sampling ring)"),
+    ("swsp", {"carrier_freq_hz": 5.9e-150}, [],
+     "carrier frequency 5.9e-150 Hz and index 1.4 give constants that are zero or overflow"),
     # the trace needs every grid step, and 1e16 of them fit in no address space
-    ("converge", {"converge_delta_p_watts": 1e-16}, ["--case", "swsp"]),
+    ("converge", {"converge_delta_p_watts": 1e-16}, ["--case", "swsp"],
+     "out of memory: Unable to allocate"),
     # pattern output is CSV only; JSON was once ignored and CSV written
-    ("pattern", {}, ["--format", "json"]),
-    ("pattern", {"pattern_res_m": 0}, []),
+    ("pattern", {}, ["--format", "json"],
+     "pattern output is CSV only, got --format json"),
+    ("pattern", {"pattern_res_m": 0}, [],
+     "pattern_res_m must be positive, got 0.0"),
     # a zero-power mwmp beam once gave an all-zero "normalized" map
-    ("pattern", {"rho_w": 0}, ["--case", "mwmp"]),
+    ("pattern", {"rho_w": 0}, ["--case", "mwmp"],
+     "configured instance allows no covert power; no pattern"),
     # a negative half-width once printed a one-row map at -half, or died in linspace
-    ("pattern", {"pattern_y_halfwidth_m": -0.05}, []),
+    ("pattern", {"pattern_y_halfwidth_m": -0.05}, [],
+     "pattern_y_halfwidth_m must be non-negative, got -0.05"),
     # null once passed for every key and died in a TypeError traceback; only
     # the keys annotated float | None take it
-    ("swsp", {"height_m": None}, []),
-    ("mwmp", {"height_m": None}, []),
-    ("sweep", {"height_m": None}, _SWEEP_ARGS),
-    ("pattern", {"height_m": None}, []),
-    ("sweep", {"trials": None}, _SWEEP_ARGS),
-    ("sweep", {"seed": None}, _SWEEP_ARGS),
+    ("swsp", {"height_m": None}, [],
+     "config key 'height_m' must be a finite number, got None"),
+    ("mwmp", {"height_m": None}, [],
+     "config key 'height_m' must be a finite number, got None"),
+    ("sweep", {"height_m": None}, _SWEEP_ARGS,
+     "config key 'height_m' must be a finite number, got None"),
+    ("pattern", {"height_m": None}, [],
+     "config key 'height_m' must be a finite number, got None"),
+    ("sweep", {"trials": None}, _SWEEP_ARGS,
+     "config key 'trials' must be a finite number, got None"),
+    ("sweep", {"seed": None}, _SWEEP_ARGS,
+     "config key 'seed' must be a finite number, got None"),
     # numeric text once passed as the number, or failed in int() naming no key
-    ("swsp", {"height_m": "3"}, []),
-    ("mwmp", {"num_waveguides": "4.0"}, []),
+    ("swsp", {"height_m": "3"}, [],
+     "config key 'height_m' must be a finite number, got '3'"),
+    ("mwmp", {"num_waveguides": "4.0"}, [],
+     "config key 'num_waveguides' must be a finite number, got '4.0'"),
     # repeats and empty items once wrote copies of one (scheme, value, trial)
     # record, which mean_rates averaged as trials
-    ("sweep", {}, ["--variable", "power_budget", "--values=10,,10", "--schemes", "swsp,,swsp"]),
-    ("sweep", {}, ["--variable", "power_budget", "--values=10,", "--schemes", "swsp"]),
-    ("sweep", {}, ["--variable", "power_budget", "--values=10,10.0", "--schemes", "swsp"]),
-    ("sweep", {}, ["--variable", "power_budget", "--values=10", "--schemes", "swsp,mwmp,swsp"]),
-    ("sweep", {}, ["--variable", "power_budget", "--values=10", "--schemes", "swsp, "]),
+    ("sweep", {}, ["--variable", "power_budget", "--values=10,,10", "--schemes", "swsp,,swsp"],
+     "could not convert string to float: ''"),
+    ("sweep", {}, ["--variable", "power_budget", "--values=10,", "--schemes", "swsp"],
+     "could not convert string to float: ''"),
+    ("sweep", {}, ["--variable", "power_budget", "--values=10,10.0", "--schemes", "swsp"],
+     "sweep values must be distinct finite numbers, got [10.0, 10.0]"),
+    ("sweep", {}, ["--variable", "power_budget", "--values=10", "--schemes", "swsp,mwmp,swsp"],
+     "schemes must not repeat, got swsp, mwmp, swsp"),
+    ("sweep", {}, ["--variable", "power_budget", "--values=10", "--schemes", "swsp, "],
+     "unknown scheme ''; valid schemes: swsp, mwmp, mimo_zf, mimo_mrt, pass_zf, pass_mrt"),
     # finite but extreme values whose distances or dB conversions overflow
     # once printed nan or inf rows with exit 0, or died in an OverflowError
-    ("swsp", {"bob_y_m": 1e200}, []),
-    ("mwmp", {"bob_y_m": 1e200}, []),
-    ("bench", {"bob_y_m": 1e200}, []),
-    ("mwmp", {"willie_x_m": 1e200}, []),
-    ("bench", {"willie_x_m": 1e200}, []),
-    ("mwmp", {"delta_r_m": 1e300}, []),
-    ("bench", {"delta_r_m": 1e300}, []),
+    ("swsp", {"bob_y_m": 1e200}, [],
+     "numeric fault: overflow encountered in scalar power"),
+    ("mwmp", {"bob_y_m": 1e200}, [],
+     "numeric fault: overflow encountered in multiply"),
+    ("bench", {"bob_y_m": 1e200}, [],
+     "numeric fault: overflow encountered in multiply"),
+    ("mwmp", {"willie_x_m": 1e200}, [],
+     "numeric fault: overflow encountered in multiply"),
+    ("bench", {"willie_x_m": 1e200}, [],
+     "numeric fault: overflow encountered in multiply"),
+    ("mwmp", {"delta_r_m": 1e300}, [],
+     "numeric fault: overflow encountered in multiply"),
+    ("bench", {"delta_r_m": 1e300}, [],
+     "numeric fault: overflow encountered in multiply"),
     ("sweep", {}, ["--variable", "uncertainty_radius", "--values", "1e300",
-                   "--schemes", "mwmp,pass_zf"]),
-    ("swsp", _TINY_HEIGHT, []),
-    ("mwmp", {**_TINY_HEIGHT, "num_waveguides": 1, "pas_per_waveguide": 1}, []),
-    ("bench", {**_TINY_HEIGHT, "num_waveguides": 1, "pas_per_waveguide": 1}, []),
-    ("swsp", {"p_max_dbm": 4000}, []),
-    ("mwmp", {"delta_sigma_db": 4000}, []),
-    ("bench", {"sigma_w_dbm": 4000}, []),
-    ("sweep", {}, ["--variable", "power_budget", "--values", "4000", "--schemes", "swsp"]),
+                   "--schemes", "mwmp,pass_zf"],
+     "numeric fault: overflow encountered in multiply"),
+    ("swsp", _TINY_HEIGHT, [],
+     "numeric fault: divide by zero encountered in divide"),
+    ("mwmp", {**_TINY_HEIGHT, "num_waveguides": 1, "pas_per_waveguide": 1}, [],
+     "numeric fault: divide by zero encountered in reciprocal"),
+    ("bench", {**_TINY_HEIGHT, "num_waveguides": 1, "pas_per_waveguide": 1}, [],
+     "numeric fault: divide by zero encountered in divide"),
+    ("swsp", {"p_max_dbm": 4000}, [],
+     "numeric fault: p_max_dbm = 4000.0 overflows the conversion from dB to linear"),
+    ("mwmp", {"delta_sigma_db": 4000}, [],
+     "numeric fault: delta_sigma_db = 4000.0 overflows the conversion from dB to linear"),
+    ("bench", {"sigma_w_dbm": 4000}, [],
+     "numeric fault: sigma_w_dbm = 4000.0 overflows the conversion from dB to linear"),
+    ("sweep", {}, ["--variable", "power_budget", "--values", "4000", "--schemes", "swsp"],
+     "numeric fault: power_budget sweep value = 4000.0 overflows the conversion from dB to "
+     "linear"),
     # a negative seed once wrote -1 into swsp and bench records with exit 0, and
     # ended mwmp and sweep in numpy's seeding error, which names no key
-    ("swsp", {"seed": -1}, []),
-    ("mwmp", {"seed": -1}, []),
-    ("sweep", {"seed": -1}, _SWEEP_ARGS),
+    ("swsp", {"seed": -1}, [],
+     "seed must be a non-negative integer, got -1"),
+    ("mwmp", {"seed": -1}, [],
+     "seed must be a non-negative integer, got -1"),
+    ("sweep", {"seed": -1}, _SWEEP_ARGS,
+     "seed must be a non-negative integer, got -1"),
     # out-of-range sweep values once named rho_w or the warden's radius
-    ("sweep", {}, ["--variable", "target_error_rate", "--values=1.5", "--schemes", "pass_zf"]),
-    ("sweep", {}, ["--variable", "uncertainty_radius", "--values=-1", "--schemes", "pass_zf"]),
+    ("sweep", {}, ["--variable", "target_error_rate", "--values=1.5", "--schemes", "pass_zf"],
+     "target_error_rate sweep value 1.5 must lie in [0, 1]"),
+    ("sweep", {}, ["--variable", "uncertainty_radius", "--values=-1", "--schemes", "pass_zf"],
+     "uncertainty_radius sweep value -1.0 must be a finite non-negative number"),
     # error paths no other case reaches: no scenario to draw, no PSO iteration,
     # and an integer past the float range
-    ("sweep", {"trials": 0}, _SWEEP_ARGS),
-    ("mwmp", {"pso_iterations": 0}, []),
-    ("sweep", {"trials": 10**400}, _SWEEP_ARGS),
+    ("sweep", {"trials": 0}, _SWEEP_ARGS,
+     "need at least one scenario"),
+    ("mwmp", {"pso_iterations": 0}, [],
+     "need at least one iteration"),
+    ("sweep", {"trials": 10**400}, _SWEEP_ARGS,
+     "config key 'trials' must be a finite number, got 1000000"),
 ], ids=["delta_r_nan", "delta_r_inf", "p_max_inf", "pso_pop_bs_zero", "n_wg_bool", "n_wg_fraction",
      "values_nan", "wg_stacked", "sweep_swsp_mwmp_wg_stacked", "delta_p_negative",
      "delta_p_steps_overflow", "samples_k_zero",
@@ -348,7 +403,7 @@ _TINY_HEIGHT = {"height_m": 1e-200, "bob_x_m": 0, "bob_y_m": 0}
      "mwmp_seed_negative", "sweep_seed_negative", "sweep_error_rate_above_one",
      "sweep_radius_negative", "sweep_trials_zero", "mwmp_iterations_zero",
      "sweep_trials_past_float_range"])
-def test_invalid_numeric_inputs_rejected(tmp_path, capsys, command, keys, extra):
+def test_invalid_numeric_inputs_rejected(tmp_path, capsys, command, keys, extra, message):
     # each of these once printed a nan row, an unsafe full-power rate or a
     # silently coerced setting with exit 0, or died with a traceback
     code = main([command, "--config", _config_file(tmp_path, **keys)] + extra)
@@ -357,7 +412,7 @@ def test_invalid_numeric_inputs_rejected(tmp_path, capsys, command, keys, extra)
     assert captured.out == ""
     err_lines = [ln for ln in captured.err.splitlines() if ln]
     assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
-
+    assert message in err_lines[0]
 
 
 @pytest.mark.parametrize("variable, value, message", [

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from passcovert import benchmarks, harness, mwmp, swsp
 from passcovert.channel import beam_gain, beam_pattern_grid
-from passcovert.cli import _format_g17, _solved_beam, main
+from passcovert.cli import _SLOT, _gain_slots, _solved_beam, main
 from passcovert.config import config_from_dict
 from passcovert.geometry import PinchLayout
 
@@ -224,9 +224,41 @@ def test_pattern_cli_rows_match_library_grid(tmp_path_factory, case, keys):
     assert grid.max() == 1.0
 
 
+def _percent_g17_map(config, case) -> bytes:
+    """The pattern CSV written one cell at a time with '%.17g'."""
+    sc, layout, beam = _solved_beam(config, case)
+    res, half = config.pattern_res_m, config.pattern_y_halfwidth_m
+    xs = np.linspace(0.0, sc.geom.length, round(sc.geom.length / res) + 1)
+    ys = np.linspace(-half, half, round(2.0 * half / res) + 1)
+    grid = beam_pattern_grid(layout, beam, xs, ys, sc.pc)
+    lines = ["x,y,gain_normalized\n"]
+    for x, row in zip(xs.tolist(), grid.tolist()):
+        lines += ["%.17g,%.17g,%.17g\n" % (x, y, g) for y, g in zip(ys.tolist(), row)]
+    return "".join(lines).encode()
+
+
+# res 0.33 and 0.7 do not divide the 25 m waveguide, so the x texts differ in
+# width; half-width 0 is the one cut at y = -0, and 0.05 one cut at y = -0.05
+@pytest.mark.parametrize("case", ["swsp", "mwmp"])
+@pytest.mark.parametrize("res", [0.33, 0.7, 1.1])
+@pytest.mark.parametrize("half", [0.0, 0.05, 3.3])
+def test_pattern_bytes_match_per_cell_writer(tmp_path, case, res, half):
+    keys = {"pattern_res_m": res, "pattern_y_halfwidth_m": half}
+    cfg, out = tmp_path / "cfg.json", tmp_path / "pattern.csv"
+    cfg.write_text(json.dumps(keys))
+    assert main(["pattern", "--config", str(cfg), "--case", case, "--out", str(out)]) == 0
+    expected = _percent_g17_map(config_from_dict(keys), case)
+    assert out.read_bytes() == expected
+    if (case, res, half) == ("mwmp", 0.33, 3.3):  # gains below 1e-4 take '%.17g' itself
+        assert b"e-0" in expected
+
+
 def _matches_percent_g17(values) -> bool:
     values = np.asarray(values, dtype=float)
-    return _format_g17(values) == ["%.17g" % v for v in values.tolist()]
+    block = _gain_slots(values)
+    assert block.shape == values.shape + (_SLOT,)
+    texts = block[block != 0].tobytes().decode().split("\n")
+    return texts == ["%.17g" % v for v in values.tolist()] + [""]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -266,13 +298,13 @@ def test_gain_formatter_matches_percent_g17_at_edges():
 
 
 def test_gain_formatter_decade_premise():
-    # _format_g17 takes the zeros z after "0." from comparisons of a value v
+    # _gain_slots takes the zeros z after "0." from comparisons of a value v
     # with the doubles it names, from 1 down to 1e-4. The 17 digits of
     # v * 10**(17 + z) are exact only if each lower bound lies above
     # 10**-(z + 1), so the product reaches 10**16, and if the largest double
     # below each upper bound, times 10**(17 + z), stays more than 1/2 below
     # 10**17, so the rounding cannot carry into an 18th digit
-    tree = ast.parse(textwrap.dedent(inspect.getsource(_format_g17)))
+    tree = ast.parse(textwrap.dedent(inspect.getsource(_gain_slots)))
     bounds = sorted((node.comparators[0].value for node in ast.walk(tree)
                      if isinstance(node, ast.Compare)
                      and isinstance(node.comparators[0], ast.Constant)
