@@ -95,8 +95,8 @@ class ExperimentConfig:
     # ---- builders ----
 
     def geometry_swsp(self) -> PassGeometry:
-        return PassGeometry.single_waveguide(self.height_m, self.waveguide_length_m,
-                                             self.pa_spacing())
+        # one antenna has no spacing, so pa_spacing_m plays no part
+        return PassGeometry.single_waveguide(self.height_m, self.waveguide_length_m)
 
     def scenario(self, kind: str = "mwmp") -> Scenario:
         """Single fixed-layout scenario at the configured Bob and warden positions."""

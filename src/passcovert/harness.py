@@ -37,7 +37,7 @@ class SweepRecord:
 
 
 def trial_seed(master_seed: int, trial: int) -> int:
-    """Independent per-trial seed so parallel and serial runs agree."""
+    """Per-trial seed that depends only on the master seed and the trial index."""
     ss = np.random.SeedSequence([int(master_seed), int(trial)])
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -107,7 +107,10 @@ def run_sweep(config: ExperimentConfig, variable: str, values,
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"unknown sweep variable {variable!r}; valid variables: "
                          + ", ".join(SWEEP_VARIABLES))
-    values = [float(v) for v in values]
+    try:
+        values = [float(v) for v in values]
+    except ValueError as exc:
+        raise ValueError(f"sweep values must be numbers: {exc}") from None
     if not values:
         raise ValueError("need at least one sweep value")
     # a repeated value or scheme would pass its records off as more trials
@@ -125,18 +128,18 @@ def run_sweep(config: ExperimentConfig, variable: str, values,
     scenarios = sample_scenarios(config, "swsp" if schemes == ("swsp",) else "mwmp")
     seeds = [trial_seed(config.seed, trial) for trial in range(len(scenarios))]
     swsp_geom = config.geometry_swsp() if "swsp" in schemes else None
+    # each value's scenarios, one per trial, exist before the first solve, so a bad
+    # value fails before any work; swsp takes them on the single waveguide
+    swept = [[_apply_sweep_value(base, variable, value) for base in scenarios]
+             for value in values]
     records = []
-    for value in values:
-        # one scenario per trial and value, shared by every scheme but swsp,
-        # which takes it on the single waveguide
-        swept = [_apply_sweep_value(base, variable, value) for base in scenarios]
+    for value, trials in zip(values, swept):
         for scheme in schemes:
-            instances = ([dataclasses.replace(sc, geom=swsp_geom) for sc in swept]
-                         if scheme == "swsp" else swept)
+            instances = ([dataclasses.replace(sc, geom=swsp_geom) for sc in trials]
+                         if scheme == "swsp" else trials)
             for trial, (sc, seed) in enumerate(zip(instances, seeds)):
                 rate, power, _ = solve_scheme(scheme, sc, config, seed)
-                records.append(SweepRecord(scheme, variable, value, trial,
-                                           rate, power, seed))
+                records.append(SweepRecord(scheme, variable, value, trial, rate, power, seed))
     return records
 
 
@@ -178,25 +181,21 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _rows(records, template: str) -> list[str]:
+    """Each record's seven fields in a ``%`` row template, floats through ``_fmt``."""
+    return [template % (r.scheme, r.sweep_variable, _fmt(r.sweep_value), r.trial,
+                        _fmt(r.covert_rate), _fmt(r.p_opt), r.seed) for r in records]
+
+
 def records_to_csv(records) -> str:
     """Sweep records as CSV; floats carry 17 significant digits so a parse
     round-trips bit-exactly."""
-    lines = [",".join(CSV_HEADER)]
-    for r in records:
-        lines.append(",".join([r.scheme, r.sweep_variable, _fmt(r.sweep_value),
-                               str(r.trial), _fmt(r.covert_rate), _fmt(r.p_opt),
-                               str(r.seed)]))
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(CSV_HEADER)] + _rows(records, "%s,%s,%s,%d,%s,%s,%d")) + "\n"
 
 
 def records_to_json(records) -> str:
-    rows = []
-    for r in records:
-        rows.append('{"scheme": "%s", "sweep_variable": "%s", "sweep_value": %s, '
-                    '"trial": %d, "covert_rate_bps_hz": %s, "p_opt_watts": %s, '
-                    '"seed": %d}'
-                    % (r.scheme, r.sweep_variable, _fmt(r.sweep_value), r.trial,
-                       _fmt(r.covert_rate), _fmt(r.p_opt), r.seed))
+    rows = _rows(records, '{"scheme": "%s", "sweep_variable": "%s", "sweep_value": %s, '
+                          '"trial": %d, "covert_rate_bps_hz": %s, "p_opt_watts": %s, "seed": %d}')
     return "[\n" + ",\n".join(rows) + "\n]\n" if rows else "[]\n"
 
 

@@ -328,6 +328,12 @@ _TINY_HEIGHT = {"height_m": 1e-200, "bob_x_m": 0, "bob_y_m": 0}
      "could not convert string to float: ''"),
     ("sweep", {}, ["--variable", "power_budget", "--values=10,10.0", "--schemes", "swsp"],
      "sweep values must be distinct finite numbers, got [10.0, 10.0]"),
+    # an item that is not a number once ended in float()'s message alone,
+    # which names neither the sweep values nor the option
+    ("sweep", {}, ["--variable", "power_budget", "--values=10,,10", "--schemes", "swsp"],
+     "sweep values must be numbers: could not convert string to float: ''"),
+    ("sweep", {}, ["--variable", "power_budget", "--values=10,abc", "--schemes", "swsp"],
+     "sweep values must be numbers: could not convert string to float: 'abc'"),
     ("sweep", {}, ["--variable", "power_budget", "--values=10", "--schemes", "swsp,mwmp,swsp"],
      "schemes must not repeat, got swsp, mwmp, swsp"),
     ("sweep", {}, ["--variable", "power_budget", "--values=10", "--schemes", "swsp, "],
@@ -395,6 +401,7 @@ _TINY_HEIGHT = {"height_m": 1e-200, "bob_x_m": 0, "bob_y_m": 0}
      "sweep_height_null", "pattern_height_null", "sweep_trials_null", "sweep_seed_null",
      "swsp_height_text", "mwmp_n_wg_text",
      "sweep_repeats_and_empty_items", "values_trailing_empty_item", "values_repeat",
+     "values_empty_item_named", "values_text_item_named",
      "schemes_repeat", "schemes_trailing_empty_item", "swsp_bob_far", "mwmp_bob_far",
      "bench_bob_far", "mwmp_willie_far", "bench_willie_far", "mwmp_delta_r_huge",
      "bench_delta_r_huge", "sweep_delta_r_huge", "swsp_height_tiny", "mwmp_height_tiny_one_pa",
@@ -525,9 +532,11 @@ def test_swsp_fine_resolution_solves(tmp_path, capsys):
 
 
 
+# one antenna has no spacing, so pa_spacing_m: 0 once failed the swsp geometry too
 @pytest.mark.parametrize("bad", [{"wg_spacing_m": 0}, {"num_waveguides": 0},
-                                 {"pas_per_waveguide": 100000}],
-                         ids=["stacked_waveguides", "no_waveguides", "pas_overflow"])
+                                 {"pas_per_waveguide": 100000}, {"pa_spacing_m": 0}],
+                         ids=["stacked_waveguides", "no_waveguides", "pas_overflow",
+                              "pa_spacing_zero"])
 @pytest.mark.parametrize("args, keys", [
     (["swsp"], {}),
     (["converge", "--case", "swsp"], {"converge_delta_p_watts": 0.05}),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,51 @@ def test_run_sweep_derives_swsp_geometry_once(monkeypatch):
     assert ([(s.rate, s.p_opt) for s in solved]
             == [(r.covert_rate, r.p_opt) for r in records if r.scheme == "swsp"])
     assert len(solved) == 2 * 3
+
+
+@pytest.mark.parametrize("variable, values, message", [
+    ("target_error_rate", [0.9, 1.5], "target_error_rate sweep value 1.5 must lie in [0, 1]"),
+    ("uncertainty_radius", [0.5, -1.0],
+     "uncertainty_radius sweep value -1.0 must be a finite non-negative number"),
+    ("power_budget", [20.0, 4000.0],
+     "power_budget sweep value = 4000.0 overflows the conversion from dB to linear"),
+], ids=["error_rate_above_one", "radius_negative", "budget_overflow"])
+def test_run_sweep_bad_last_value_fails_before_any_solve(monkeypatch, variable, values,
+                                                         message):
+    # every value's scenarios exist before the first solve; a bad last value
+    # once failed only after the sweep had solved every value before it
+    from passcovert import harness
+    solved = []
+    solve_scheme = harness.solve_scheme
+    monkeypatch.setattr(harness, "solve_scheme",
+                        lambda *args: solved.append(args[0]) or solve_scheme(*args))
+    with pytest.raises((ValueError, OverflowError), match=re.escape(message)):
+        run_sweep(_small_config(trials=3), variable, values, ("swsp",))
+    assert solved == []
+
+
+def test_run_sweep_solves_swsp_on_the_single_waveguide(monkeypatch):
+    # swsp takes each trial on one antenna; every other solver gets the
+    # configured multi-waveguide geometry
+    from passcovert import benchmarks, mwmp, swsp
+    seen = []
+    swsp_solve, mwmp_solve, evaluate = swsp.solve, mwmp.solve, benchmarks.evaluate
+    monkeypatch.setattr(swsp, "solve", lambda sc, delta_p: (
+        seen.append(("swsp", sc.geom)) or swsp_solve(sc, delta_p)))
+    monkeypatch.setattr(mwmp, "solve", lambda sc, params, k: (
+        seen.append(("mwmp", sc.geom)) or mwmp_solve(sc, params, k=k)))
+    monkeypatch.setattr(benchmarks, "evaluate", lambda kind, sc, k: (
+        seen.append((kind.value, sc.geom)) or evaluate(kind, sc, k=k)))
+    cfg = _small_config(trials=2, pso_iterations=5)
+    records = run_sweep(cfg, "power_budget", [10.0, 20.0], SCHEMES)
+    assert [scheme for scheme, _ in seen] == [r.scheme for r in records]
+    multi = cfg.scenario("mwmp").geom
+    assert multi.n_wg > 1 and multi.m_pa > 1
+    for scheme, geom in seen:
+        if scheme == "swsp":
+            assert geom.n_wg == geom.m_pa == 1
+        else:
+            assert geom == multi
 
 
 def test_run_sweep_power_budget_scales_grid():
