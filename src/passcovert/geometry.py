@@ -63,9 +63,9 @@ class PassGeometry:
         return np.asarray(self.wg_y, dtype=float)
 
     @classmethod
-    def single_waveguide(cls, height: float, length: float, spacing: float = 0.1) -> "PassGeometry":
-        """One waveguide along the x axis with a single pinch antenna."""
-        return cls(height, length, 1, 1, (0.0,), spacing)
+    def single_waveguide(cls, height: float, length: float) -> "PassGeometry":
+        """One waveguide along the x axis with one pinch antenna, whose spacing is unused."""
+        return cls(height, length, 1, 1, (0.0,), 0.1)
 
 
 @dataclass(eq=False)

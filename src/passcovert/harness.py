@@ -109,7 +109,7 @@ def run_sweep(config: ExperimentConfig, variable: str, values,
                          + ", ".join(SWEEP_VARIABLES))
     try:
         values = [float(v) for v in values]
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"sweep values must be numbers: {exc}") from None
     if not values:
         raise ValueError("need at least one sweep value")

@@ -11,22 +11,12 @@ import numpy as np
 from .scenario import Scenario
 
 
-@dataclass(frozen=True)
-class ForbiddenZone:
-    """Interval of antenna positions where covertness can fail somewhere in the
-    warden's uncertainty disk. ``interval`` is None when the zone is empty."""
-
-    d_bou: float  # m, minimum 3-D distance guaranteeing covertness
-    d_tot: float  # m, ground-projected distance inflated by the position radius
-    interval: tuple[float, float] | None
-    theta: float | None  # rad
-
-
 def _zone_bounds(powers: np.ndarray, sc: Scenario):
     """Vectorized zone geometry for an array of transmit powers.
 
-    Returns (exists, x_lo, x_hi, d_bou, d_tot); x_lo/x_hi are meaningful only
-    where ``exists``.
+    Returns (exists, x_lo, x_hi); x_lo/x_hi are meaningful only where
+    ``exists``. d_bou is the least 3-D distance that guarantees covertness and
+    d_tot its ground projection inflated by the warden's position radius.
     """
     nu = sc.noise_w
     denom = nu.nominal * (nu.delta ** (2.0 * sc.covertness.rho_w) - 1.0)
@@ -42,7 +32,7 @@ def _zone_bounds(powers: np.ndarray, sc: Scenario):
     half = np.sqrt(np.maximum(d_tot**2 - y_w**2, 0.0))
     x_lo = sc.willie.center[0] - half
     x_hi = sc.willie.center[0] + half
-    return exists, x_lo, x_hi, d_bou, d_tot
+    return exists, x_lo, x_hi
 
 
 def _power(power: float) -> np.ndarray:
@@ -52,14 +42,12 @@ def _power(power: float) -> np.ndarray:
     return np.asarray([float(power)])
 
 
-def forbidden_zone(power: float, sc: Scenario) -> ForbiddenZone:
-    """Forbidden interval of antenna positions at transmit power ``power``."""
-    exists, x_lo, x_hi, d_bou, d_tot = _zone_bounds(_power(power), sc)
-    if not exists[0]:
-        return ForbiddenZone(float(d_bou[0]), float(d_tot[0]), None, None)
-    theta = math.acos(abs(sc.willie.center[1]) / float(d_tot[0]))
-    return ForbiddenZone(float(d_bou[0]), float(d_tot[0]),
-                         (float(x_lo[0]), float(x_hi[0])), theta)
+def forbidden_zone(power: float, sc: Scenario) -> tuple[float, float] | None:
+    """Open interval (x_lo, x_hi) of antenna positions where covertness can fail
+    somewhere in the warden's uncertainty disk at transmit power ``power``, or
+    None when there is no zone."""
+    exists, x_lo, x_hi = _zone_bounds(_power(power), sc)
+    return (float(x_lo[0]), float(x_hi[0])) if exists[0] else None
 
 
 def _positions_for(powers: np.ndarray, sc: Scenario) -> np.ndarray:
@@ -67,7 +55,7 @@ def _positions_for(powers: np.ndarray, sc: Scenario) -> np.ndarray:
     forbidden zone covers that point, the zone edge on [0, L] nearer Bob (the
     left one on a tie); NaN where neither edge is on [0, L]. Zone edges meet the
     covertness constraint with equality and stay feasible."""
-    exists, x_lo, x_hi, _, _ = _zone_bounds(powers, sc)
+    exists, x_lo, x_hi = _zone_bounds(powers, sc)
     length = sc.geom.length
     x_b = sc.r_b[0]
     # min/max in place of np.clip, whose dispatch costs more than the work at

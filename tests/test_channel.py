@@ -59,7 +59,7 @@ def _two_waveguides(height=3.0, length=25.0, wg_y=(-1.5, 1.5), pa_spacing=0.5):
     lambda: _two_waveguides(wg_y=(-1.5, _INF)),
     lambda: _two_waveguides(pa_spacing=_NAN),
     # one antenna per waveguide: inf * 0 made usable_length NaN
-    lambda: PassGeometry.single_waveguide(3.0, 25.0, _INF),
+    lambda: PassGeometry(3.0, 25.0, 1, 1, (0.0,), _INF),
     lambda: PinchLayout(PassGeometry.single_waveguide(3.0, 25.0), [_NAN]),
     lambda: PinchLayout(_two_waveguides(), [1.0, _NAN]),
     lambda: BeamVector([1.0], _NAN),

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -230,6 +232,17 @@ def test_help_exits_zero(capsys):
         main(["sweep", "--help"])
     assert exc.value.code == 0
     assert "--values=-10,-5" in capsys.readouterr().out
+
+
+def test_module_runs_as_main(monkeypatch, capsys):
+    # python -m passcovert.cli; without the delitem runpy warns that the module
+    # is already imported, and the warning filters make that an error
+    monkeypatch.delitem(sys.modules, "passcovert.cli")
+    monkeypatch.setattr(sys, "argv", ["passcovert", "--help"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("passcovert.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: passcovert")
 
 
 def test_sweep_closed_form_matches_golden(tmp_path):

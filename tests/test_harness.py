@@ -139,6 +139,16 @@ def test_run_sweep_rejects_repeats(values, schemes):
         run_sweep(_small_config(trials=1), "power_budget", values, schemes)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (None, "not 'NoneType'"), ([1], "not 'list'"), (object(), "not 'object'"),
+], ids=["none", "list", "object"])
+def test_run_sweep_names_a_value_that_is_not_a_number(bad, message):
+    # a library caller's value of the wrong type once raised float()'s bare TypeError
+    with pytest.raises(ValueError, match=r"sweep values must be numbers: float\(\) argument "
+                                         r"must be a string or a real number, " + message):
+        run_sweep(_small_config(trials=1), "power_budget", [10, bad], ("swsp",))
+
+
 def test_run_sweep_records_and_reuse():
     cfg = _small_config(trials=5)
     records = run_sweep(cfg, "uncertainty_radius", [0.5, 1.0],

@@ -1,7 +1,9 @@
 """Every public function, class and method of the package has a caller in the
 program: another part of ``src/passcovert``, or the benchmark under
 ``perfbench/``. Names only the tests reach widen the API without serving the
-CLI or the harness. The check reads the source and runs nothing.
+CLI or the harness; the exceptions are the model oracles in ``ORACLES``, which
+the program never calls and some test names. The check reads the source and
+runs nothing.
 
 A name counts as used where it appears as a name, an attribute or an import
 anywhere in those files other than its own definition and the package's
@@ -32,10 +34,6 @@ ORACLES = {
     "mean_rates": "the per-(scheme, value) means the paper's acceptance criteria compare",
 }
 _MODULES = {"np", "math"}
-# dataclasses whose fields only the tests read
-UNREAD_FIELDS = {
-    "ForbiddenZone": "the result of the oracle forbidden_zone, checked field by field",
-}
 
 
 def _used_names(path: Path) -> set[str]:
@@ -79,10 +77,16 @@ def test_every_public_name_has_a_caller():
 
 
 def test_oracles_exist_and_stay_uncalled():
-    # an oracle the program starts to call, or one deleted, leaves the list
+    # an oracle the program starts to call, or one deleted, leaves the list; one
+    # that no test names either (an import alone does not count) is dead code
     defined = {qualified for _, qualified, _ in _public_definitions()}
     assert set(ORACLES) <= defined
     assert set(ORACLES) & _program_names() == set()
+    in_tests = {node.id if isinstance(node, ast.Name) else node.attr
+                for path in (ROOT / "tests").glob("*.py")
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, (ast.Name, ast.Attribute))}
+    assert set(ORACLES) - in_tests == set()
 
 
 def test_package_init_reexports_nothing():
@@ -116,11 +120,8 @@ def test_every_dataclass_field_is_read():
     kept for nobody. The match is by name only, so a field read on one class
     covers a field of the same name on another (``ExperimentConfig.n_eff``
     would hide an unread ``n_eff`` elsewhere)."""
-    fields = list(_dataclass_fields())
-    assert set(UNREAD_FIELDS) <= {cls for cls, _ in fields}
     read = _attributes_read()
-    assert [f"{cls}.{field}" for cls, field in fields
-            if field not in read and cls not in UNREAD_FIELDS] == []
+    assert [f"{cls}.{field}" for cls, field in _dataclass_fields() if field not in read] == []
 
 
 def test_readme_config_table_names_every_key():

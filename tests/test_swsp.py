@@ -43,38 +43,36 @@ def _worst_xi(sc, pts, x, power):
 
 def test_zone_absent_cases():
     sc = _scenario()
-    assert forbidden_zone(0.0, sc).interval is None  # no radiated power, no zone
+    assert forbidden_zone(0.0, sc) is None  # no radiated power, no zone
     # below the height threshold the 3-D distance alone guarantees covertness
-    tiny = forbidden_zone(1e-7, sc)
-    assert tiny.d_bou < sc.geom.height
-    assert tiny.interval is None
+    nu = sc.noise_w
+    d_bou = math.sqrt(1e-7 * sc.pc.eta * nu.delta
+                      / (nu.nominal * (nu.delta ** (2.0 * sc.covertness.rho_w) - 1.0)))
+    assert d_bou < sc.geom.height
+    assert forbidden_zone(1e-7, sc) is None
 
 
 def test_zone_derived_instance():
     sc = _scenario()
+    # 7 -/+ sqrt(d_tot^2 - 81) with d_tot = 345.82876712074926 m; spans the
+    # entire waveguide for this layout
     zone = forbidden_zone(1.0, sc)
-    assert zone.d_bou == pytest.approx(345.3417979352292, rel=1e-12)
-    assert zone.d_tot == pytest.approx(345.82876712074926, rel=1e-12)
-    assert zone.interval is not None
-    # spans the entire waveguide for this layout
-    assert zone.interval[0] < 0.0 and zone.interval[1] > sc.geom.length
-    half = zone.d_tot * np.sin(zone.theta)
-    assert half == pytest.approx(np.sqrt(zone.d_tot**2 - 81.0), rel=1e-12)
+    assert zone == pytest.approx((-338.7116373052221, 352.7116373052221), rel=1e-12)
 
 
 def test_zone_against_brute_force_covertness_scan():
     sc = _scenario()
     power = 2.5e-3
     zone = forbidden_zone(power, sc)
-    assert zone.interval is not None
+    assert zone is not None
     target = 1.0 - sc.covertness.rho_w
     xs = np.linspace(0.0, 25.0, 2000)
     pts = _disk_points(sc)
     for x in xs:
         worst = _worst_xi(sc, pts, x, power)
-        if zone.interval[0] + 1e-6 < x < zone.interval[1] - 1e-6:
+        if zone[0] + 1e-6 < x < zone[1] - 1e-6:
             assert worst < target + 1e-9
-        elif x < zone.interval[0] - 1e-6 or x > zone.interval[1] + 1e-6:
+        elif x < zone[0] - 1e-6 or x > zone[1] + 1e-6:
             assert worst >= target - 1e-9
 
 
@@ -83,11 +81,11 @@ def test_zone_monotone_in_power(rng):
     for _ in range(40):
         p1, p2 = np.sort(rng.uniform(1e-5, 5e-3, 2))
         z1, z2 = forbidden_zone(p1, sc), forbidden_zone(p2, sc)
-        if z1.interval is None:
+        if z1 is None:
             continue
-        assert z2.interval is not None
-        assert z2.interval[0] <= z1.interval[0] + 1e-12
-        assert z2.interval[1] >= z1.interval[1] - 1e-12
+        assert z2 is not None
+        assert z2[0] <= z1[0] + 1e-12
+        assert z2[1] >= z1[1] - 1e-12
 
 
 @pytest.mark.parametrize("rho", [0.0, 1e-300])
@@ -95,9 +93,9 @@ def test_zone_rho_zero_is_endless(rho):
     # a zero warden gain budget forbids every position at any positive power;
     # rho_w = 0 once took its own path and raised
     sc = _scenario(rho=rho)
-    assert forbidden_zone(0.5, sc).interval == (-np.inf, np.inf)
+    assert forbidden_zone(0.5, sc) == (-np.inf, np.inf)
     assert optimal_position(0.5, sc) is None
-    assert forbidden_zone(0.0, sc).interval is None
+    assert forbidden_zone(0.0, sc) is None
 
 
 def test_optimal_position_unblocked():
@@ -113,12 +111,12 @@ def test_optimal_position_boundary_case():
     target_zone = (5.0, 30.0)
     for power in np.linspace(1e-4, 1e-2, 400):
         z = forbidden_zone(power, sc)
-        if z.interval is not None and abs(z.interval[0] - target_zone[0]) < 0.05:
+        if z is not None and abs(z[0] - target_zone[0]) < 0.05:
             x = optimal_position(power, sc)
-            assert x == pytest.approx(z.interval[0], abs=1e-9)
+            assert x == pytest.approx(z[0], abs=1e-9)
             # grid oracle over achievable rates of feasible positions
             xs = np.linspace(0.0, 25.0, 100_000)
-            feasible = ~((xs > z.interval[0]) & (xs < z.interval[1]))
+            feasible = ~((xs > z[0]) & (xs < z[1]))
             rates = np.array([achievable_rate(v, power, sc) for v in xs[feasible]])
             assert achievable_rate(x, power, sc) >= rates.max() - 1e-9
             break
@@ -158,7 +156,7 @@ def test_optimal_position_matches_reference_rule():
             willie=WillieUncertainty(np.array([willie_x, rng.uniform(-9.0, 9.0), 0.0]),
                                      [0.0, 0.5, rng.uniform(0.0, 3.0)][i % 3]))
         for power in 10 ** rng.uniform(-5.0, -0.5, 12):
-            interval = forbidden_zone(power, sc).interval
+            interval = forbidden_zone(power, sc)
             want = _reference_position(bob_x, length, interval)
             assert optimal_position(power, sc) == want
             if want is None:
@@ -178,7 +176,7 @@ def test_optimal_position_keeps_clip_signed_zero():
     sc = _scenario(bob=(-0.0, 6.0), willie=(17.5, 0.0))
     want = np.clip(-0.0, 0.0, sc.geom.length)
     for power in (1e-7, 2e-3):
-        zone = forbidden_zone(power, sc).interval
+        zone = forbidden_zone(power, sc)
         assert (zone is None) == (power == 1e-7)
         assert zone is None or 0.0 < zone[0] < sc.geom.length
         x = optimal_position(power, sc)

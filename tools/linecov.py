@@ -10,7 +10,8 @@ its decorators included; a ``try`` is judged by its branches alone.
     python tools/linecov.py                          # the whole suite
     python tools/linecov.py tests/test_harness.py    # any pytest arguments
 
-The exit code is pytest's. Tracing makes the run slower: the whole suite took
+It is a gate: the exit code is 1 when any statement went unexecuted, and
+pytest's own otherwise. Tracing makes the run slower: the whole suite took
 110 s under it against 85 s for a plain ``pytest`` on a 2-vCPU x86-64 host.
 """
 
@@ -89,7 +90,7 @@ def main(argv: list[str]) -> int:
                 missed += 1
                 print(f"{path.relative_to(ROOT)}:{first}: {source[first - 1].strip()}")
     print(f"{missed} of {total} statements in {PACKAGE.relative_to(ROOT)} not executed")
-    return int(code)
+    return 1 if missed else int(code)
 
 
 if __name__ == "__main__":
