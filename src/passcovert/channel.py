@@ -9,8 +9,9 @@ import numpy as np
 from .constants import PhysConstants
 from .geometry import BeamVector, PinchLayout, as_vec3
 
-# receivers per kernel call in beam_pattern_grid: the complex temporaries of a
-# block stay cache-sized instead of growing with the grid
+# receivers per kernel call in beam_pattern_grid: the blocks bound the memory
+# of the complex temporaries, which would otherwise grow with the grid; one is
+# 16,384 x 12 x 16 B, about 3.1 MB, at the default 4 x 3 antennas
 GRID_BLOCK_CELLS = 16384
 
 

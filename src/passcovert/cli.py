@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import sys
 import warnings
 from collections.abc import Iterable, Iterator
@@ -116,12 +117,6 @@ _VELTKAMP = 134217729.0
 # 10**(17 + z) for z = 0..3 zeros after "0.", each exact in a double, and
 # its Veltkamp halves
 _SCALES = np.array([float(10**k) for k in range(17, 21)])
-# two ASCII digits per uint16, written at even byte offsets: entries 0-99
-# are "00".."99", entries 100-199 the same pairs with trailing zeros as 0 bytes
-_DIGIT_PAIRS = np.frombuffer(
-    "".join(f"{i:02d}" for i in range(100)).encode()
-    + b"".join(f"{i:02d}".rstrip("0").encode().ljust(2, b"\0") for i in range(100)),
-    np.uint16)
 # "0." and z = 0..3 zeros, right-aligned in the 5 bytes before the digits, as
 # the first 8 bytes of a slot, whose last 3 the digits overwrite
 _FIXED_PREFIX = np.frombuffer(
@@ -131,8 +126,8 @@ _FIXED_PREFIX = np.frombuffer(
 # longest '%.17g' of a non-negative double, as 2.2250738585072009e-308, has 23
 _SLOT = 24
 # about how many pattern cells are formatted at once: a whole number of grid
-# rows, whose arrays and texts take about 430 KB (tracemalloc) at 2,048 cells
-_PATTERN_BLOCK_CELLS = 2048
+# rows, whose arrays and texts take about 1.5 MB (tracemalloc) at 8,192 cells
+_PATTERN_BLOCK_CELLS = 8192
 
 
 def _veltkamp(a):
@@ -143,6 +138,25 @@ def _veltkamp(a):
 
 
 _SCALE_HI, _SCALE_LO = _veltkamp(_SCALES)
+
+
+def _digit_groups() -> np.ndarray:
+    """Four ASCII digits per uint32, for i = 0..9999: "0000".."9999" at entry
+    i, and the same with trailing zeros as 0 bytes at entry 10,000 + i.
+
+    Built by broadcasting: 20,000 Python strings would add about 13 ms to
+    every CLI start.
+    """
+    digits = np.frombuffer(b"0123456789", np.uint8)
+    groups = np.stack(np.broadcast_arrays(*np.ix_(digits, digits, digits, digits)),
+                      axis=-1).reshape(-1, 4)
+    kept = groups != ord("0")
+    for k in (2, 1, 0):  # a digit is kept when it or a digit after it is nonzero
+        kept[:, k] |= kept[:, k + 1]
+    return np.concatenate([groups, groups * kept]).view(np.uint32).ravel()
+
+
+_DIGIT_GROUPS = _digit_groups()
 
 
 def _digits17(v: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -185,12 +199,13 @@ def _gain_slots(values: np.ndarray) -> np.ndarray:
     n = _digits17(v, z)
     block = np.zeros(values.shape + (_SLOT,), np.uint8)
     block.view(np.uint64)[..., 0] = _FIXED_PREFIX[z]
-    pairs = block.view(np.uint16)  # pair j holds bytes 2j and 2j + 1
-    trailing = np.full(values.shape, 100)  # 100 while every lower digit is 0
-    for j in range(10, 2, -1):
-        q = n // 100
-        r = n - 100 * q
-        pairs[..., j] = _DIGIT_PAIRS[r + trailing]
+    # the 16 digits after the first as four groups of 4 bytes at 6, 10, 14 and 18
+    groups = block[..., 6:22].view(np.uint32)
+    trailing = np.full(values.shape, 10_000)  # 10,000 while every lower digit is 0
+    for j in range(3, -1, -1):
+        q = n // 10_000
+        r = n - 10_000 * q
+        groups[..., j] = _DIGIT_GROUPS[r + trailing]
         trailing[r != 0] = 0
         n = q
     block[..., 5] = n + ord("0")
@@ -216,23 +231,32 @@ def _pattern_csv(config: ExperimentConfig, case: str) -> Iterator[str]:
     if not half >= 0.0:  # 0 is one cut along the waveguide axis
         raise ValueError(f"pattern_y_halfwidth_m must be non-negative, got {half!r}")
     sc, layout, beam = _solved_beam(config, case)
-    xs = np.linspace(0.0, sc.geom.length, round(sc.geom.length / res) + 1)
-    ys = np.linspace(-half, half, round(2.0 * half / res) + 1)
+    # the cell counts along x and y as Python ints, checked before any grid
+    # array is made; a y span past the float range counts as infinitely many
+    nx, ny = (round(span / res) + 1 if span / res < math.inf else math.inf
+              for span in (sc.geom.length, 2.0 * half))
+    if nx * ny > np.iinfo(np.intp).max // np.dtype(float).itemsize:
+        raise ValueError(f"pattern_res_m {res!r} and pattern_y_halfwidth_m {half!r} give a "
+                         f"grid of {nx:.4g} x {ny:.4g} cells, more than one float64 array "
+                         "can hold")
+    xs = np.linspace(0.0, sc.geom.length, nx)
+    ys = np.linspace(-half, half, ny)
     grid = beam_pattern_grid(layout, beam, xs, ys, sc.pc)
     # a block of grid rows is one uint8 array of cells, each an x, a y and a
-    # gain slot, whose 0 bytes are dropped to give its text
+    # gain slot, whose 0 bytes are dropped to give its text; one buffer serves
+    # every block, its y slots written once
     x_slots, y_slots = _text_table(xs, ","), _text_table(ys, ",")
     wx, wy = x_slots.shape[1], y_slots.shape[1]
-    step = max(1, _PATTERN_BLOCK_CELLS // len(ys))
+    step = max(1, _PATTERN_BLOCK_CELLS // ny)
 
     def blocks():
         yield "x,y,gain_normalized\n"
-        for start in range(0, len(xs), step):
-            gains = _gain_slots(grid[start:start + step])
-            block = np.empty(gains.shape[:2] + (wx + wy + _SLOT,), np.uint8)
+        buffer = np.empty((min(step, nx), ny, wx + wy + _SLOT), np.uint8)
+        buffer[..., wx:wx + wy] = y_slots
+        for start in range(0, nx, step):
+            block = buffer[:min(step, nx - start)]
             block[..., :wx] = x_slots[start:start + step, None]
-            block[..., wx:wx + wy] = y_slots
-            block[..., wx + wy:] = gains
+            block[..., wx + wy:] = _gain_slots(grid[start:start + step])
             yield block[block != 0].tobytes().decode("ascii")
 
     return blocks()

@@ -4,11 +4,13 @@ import hashlib
 import json
 import runpy
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from passcovert.cli import main
+from passcovert.cli import _pattern_csv, main
+from passcovert.config import config_from_dict
 from passcovert.harness import CSV_HEADER
 
 
@@ -88,9 +90,12 @@ def test_pattern_matches_golden(tmp_path, case):
     assert out.read_bytes() == golden.read_bytes()
 
 
-# sha256 of the full pattern CSVs (12.5 MB each) on the benchmark's 501 x 481
-# grid at the default Bob and warden positions; the mwmp map holds 7,866 cells
-# below 1e-4, 1.0 at its peak and the rest in [1e-4, 1)
+# the benchmark's full-size pattern: a 501 x 481 grid at the default Bob and
+# warden positions
+_FULL_PATTERN_KEYS = {"pattern_res_m": 0.05, "pattern_y_halfwidth_m": 12,
+                      "bob_x_m": 20, "bob_y_m": 6, "willie_x_m": 7, "willie_y_m": -9}
+# sha256 of its CSVs (12.5 MB each); the mwmp map holds 7,866 cells below
+# 1e-4, 1.0 at its peak and the rest in [1e-4, 1)
 _FULL_PATTERN_SHA256 = {
     "swsp": "29180eab9ce04b6270b6ab0eeca2f02c8f2f63b4ac3e5b3cad4bcc737dbe5de4",
     "mwmp": "62660f9f84aa045b1d674580b8cc564f28133ab600cf147afb79cfe408983924",
@@ -100,11 +105,26 @@ _FULL_PATTERN_SHA256 = {
 @pytest.mark.parametrize("case", ["swsp", "mwmp"])
 def test_full_size_pattern_matches_digest(tmp_path, case):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"pattern_res_m": 0.05, "pattern_y_halfwidth_m": 12,
-                               "bob_x_m": 20, "bob_y_m": 6, "willie_x_m": 7, "willie_y_m": -9}))
+    cfg.write_text(json.dumps(_FULL_PATTERN_KEYS))
     out = tmp_path / "pattern.csv"
     assert main(["pattern", "--config", str(cfg), "--case", case, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _FULL_PATTERN_SHA256[case]
+
+
+@pytest.mark.parametrize("case", ["swsp", "mwmp"])
+def test_pattern_writer_never_holds_the_map_text(case):
+    # the grid is evaluated before _pattern_csv returns; the text is made one
+    # block at a time as its iterator is consumed, and tracemalloc counts the
+    # numpy buffers of each block
+    blocks = _pattern_csv(config_from_dict(_FULL_PATTERN_KEYS), case)
+    tracemalloc.start()
+    try:
+        size = sum(len(text) for text in blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 12_500_000
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("command", ["swsp", "mwmp", "bench"])
@@ -314,6 +334,14 @@ _TINY_HEIGHT = {"height_m": 1e-200, "bob_x_m": 0, "bob_y_m": 0}
     # a negative half-width once printed a one-row map at -half, or died in linspace
     ("pattern", {"pattern_y_halfwidth_m": -0.05}, [],
      "pattern_y_halfwidth_m must be non-negative, got -0.05"),
+    # a grid numpy cannot index once ended in numpy's "Maximum allowed size
+    # exceeded", or in int()'s fault on an infinite cell count
+    ("pattern", {"pattern_res_m": 1e-300}, [],
+     "pattern_res_m 1e-300 and pattern_y_halfwidth_m 12.0 give a grid of 2.5e+301 x "
+     "2.4e+301 cells, more than one float64 array can hold"),
+    ("pattern", {"pattern_y_halfwidth_m": 1e308}, [],
+     "pattern_res_m 2.5 and pattern_y_halfwidth_m 1e+308 give a grid of 11 x inf cells, "
+     "more than one float64 array can hold"),
     # null once passed for every key and died in a TypeError traceback; only
     # the keys annotated float | None take it
     ("swsp", {"height_m": None}, [],
@@ -410,7 +438,8 @@ _TINY_HEIGHT = {"height_m": 1e-200, "bob_x_m": 0, "bob_y_m": 0}
      "values_nan", "wg_stacked", "sweep_swsp_mwmp_wg_stacked", "delta_p_negative",
      "delta_p_steps_overflow", "samples_k_zero",
      "carrier_underflow", "converge_grid_out_of_memory", "pattern_json", "pattern_res_zero",
-     "pattern_zero_power", "pattern_halfwidth_negative", "swsp_height_null", "mwmp_height_null",
+     "pattern_zero_power", "pattern_halfwidth_negative",
+     "pattern_res_tiny", "pattern_halfwidth_huge", "swsp_height_null", "mwmp_height_null",
      "sweep_height_null", "pattern_height_null", "sweep_trials_null", "sweep_seed_null",
      "swsp_height_text", "mwmp_n_wg_text",
      "sweep_repeats_and_empty_items", "values_trailing_empty_item", "values_repeat",

@@ -13,7 +13,7 @@ import io
 import json
 import math
 import textwrap
-from decimal import Decimal
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -295,6 +295,28 @@ def test_gain_formatter_matches_percent_g17_at_edges():
     specials = [0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0), 0.5, 2.0**-18]
     for values in (folded, uniform, edges, ties, specials):
         assert _matches_percent_g17(values)
+
+
+def _g17_digits(value: float) -> str:
+    """The 17 significant digits of ``'%.17g' % value``: its exact decimal
+    value rounded half to even, trailing zeros kept."""
+    rounded = Context(prec=17, rounding=ROUND_HALF_EVEN).create_decimal(Decimal(value))
+    return "".join(map(str, rounded.as_tuple().digits)).ljust(17, "0")
+
+
+# _gain_slots writes the 16 digits after the first as four 4-digit groups and
+# turns the trailing zeros into 0 bytes: every group, part of one, a whole
+# "0000" group between nonzero ones (kept), and all but the last digit
+@pytest.mark.parametrize("value, groups", [
+    (0.5, ("0000", "0000", "0000", "0000")),
+    (0.25, ("5000", "0000", "0000", "0000")),
+    (0.0012345678900001233, ("2345", "6789", "0000", "1233")),
+    (0.1, ("0000", "0000", "0000", "0001")),
+], ids=["all_groups_stripped", "group_partly_stripped", "zero_group_kept", "last_digit_only"])
+def test_gain_formatter_digit_group_boundaries(value, groups):
+    digits = _g17_digits(value)
+    assert tuple(digits[i:i + 4] for i in range(1, 17, 4)) == groups
+    assert _matches_percent_g17([value])
 
 
 def test_gain_formatter_decade_premise():
