@@ -9,7 +9,7 @@ import numpy as np
 
 from .channel import effective_channel_at
 from .constants import PhysConstants
-from .detection import covert_power_rate
+from .detection import _check_rings, covert_power_rate
 from .geometry import PinchLayout, as_vec3
 from .scenario import Scenario
 
@@ -92,42 +92,52 @@ class BenchmarkResult:
     w_tilde: np.ndarray | None
 
 
+def _family_channels(family: str, receivers: np.ndarray, sc: Scenario) -> np.ndarray:
+    if family == "mimo":
+        return ula_channels(receivers, sc.geom.n_wg, sc.geom.height, sc.pc)
+    return effective_channel_at(heuristic_pass_layout(sc.r_b, sc.geom), receivers, sc.pc)
+
+
 def evaluate(kind: BenchmarkKind, sc: Scenario, k: int = 1) -> BenchmarkResult:
     """Rate of one reference scheme under the same sampled power control as the
     proposed solvers: ZF nulls the nominal warden position, MRT matches Bob,
     and the power saturates the gain budget over the warden sample set.
 
-    Each family's channels to Bob and the warden samples (the fixed array's,
-    or the heuristic PASS layout's) are kept in ``sc.channels`` under every
-    input they are computed from. ZF and MRT of a family, and the scenarios
-    that ``dataclasses.replace`` derives from ``sc`` (which share the dict),
-    compute them once.
+    ``sc.channels`` holds one entry per family (the fixed array, or the
+    heuristic PASS layout) and trial, keyed by Bob, the warden centre, the
+    geometry and the constants: Bob's and the centre's channels, each kind's
+    weights and gain at Bob, and per ``(k, radius)`` the sample channels with
+    each kind's worst warden gain. Scenarios that ``dataclasses.replace``
+    derives from ``sc`` share the dict, so a trial's beams are computed once
+    per sweep and a new radius or ``k`` computes only the ring channels. The
+    answer bits are those of an empty dict; each result gets its own weights.
     """
+    _check_rings(k)
     family = "mimo" if kind in (BenchmarkKind.MIMO_ZF, BenchmarkKind.MIMO_MRT) else "pass"
-    key = (family, k, sc.r_b.tobytes(), sc.willie.center.tobytes(), sc.willie.radius,
-           sc.geom, sc.pc)
-    eff = sc.channels.get(key)
-    if eff is None:
-        receivers = np.vstack([sc.r_b[None, :], sc.willie_samples(k)])
-        if family == "mimo":
-            eff = ula_channels(receivers, sc.geom.n_wg, sc.geom.height, sc.pc)
-        else:
-            layout = heuristic_pass_layout(sc.r_b, sc.geom)
-            eff = effective_channel_at(layout, receivers, sc.pc)
-        sc.channels[key] = eff
-    h_b = eff[0]
-    h_w = eff[1]  # sample set starts at the nominal center
-    sample_ch = eff[1:]
-
-    try:
-        if kind in (BenchmarkKind.MIMO_ZF, BenchmarkKind.PASS_ZF):
-            w = zf_weights(h_b, h_w)
-        else:
-            w = mrt_weights(h_b)
-    except DegenerateChannelError:
+    key = (family, sc.r_b.tobytes(), sc.willie.center.tobytes(), sc.geom, sc.pc)
+    rings = (k, sc.willie.radius)
+    trial = sc.channels.get(key)
+    if trial is None:  # Bob, the centre and the rings in one call
+        eff = _family_channels(family, np.vstack([sc.r_b[None, :], sc.willie_samples(k)]), sc)
+        trial = sc.channels[key] = {"h_b": eff[0], "h_w": eff[1], "beams": {},
+                                    "rings": {rings: {"samples": eff[1:]}}}
+    gains = trial["rings"].get(rings)
+    if gains is None:  # the sample set starts at the kept centre row
+        ring_ch = _family_channels(family, sc.willie_samples(k)[1:], sc)
+        gains = trial["rings"][rings] = {"samples": np.vstack([trial["h_w"], ring_ch])}
+    beams = trial["beams"]
+    if kind not in beams:
+        h_b = trial["h_b"]
+        try:
+            w = (zf_weights(h_b, trial["h_w"])
+                 if kind in (BenchmarkKind.MIMO_ZF, BenchmarkKind.PASS_ZF) else mrt_weights(h_b))
+            beams[kind] = w, float(np.abs(h_b @ w) ** 2)
+        except DegenerateChannelError:
+            beams[kind] = None
+    if beams[kind] is None:
         return BenchmarkResult(0.0, 0.0, None)
-
-    g_max = float(np.max(np.abs(sample_ch @ w) ** 2))
-    g_bob = float(np.abs(h_b @ w) ** 2)
-    power, rate = covert_power_rate(g_bob, g_max, sc.gain_budget(), sc.p_max, sc.sigma_b_sq)
-    return BenchmarkResult(float(rate), float(power), w)
+    w, g_bob = beams[kind]
+    if kind not in gains:  # over the whole matrix: a split product moves the bits
+        gains[kind] = float(np.max(np.abs(gains["samples"] @ w) ** 2))
+    power, rate = covert_power_rate(g_bob, gains[kind], sc.gain_budget(), sc.p_max, sc.sigma_b_sq)
+    return BenchmarkResult(float(rate), float(power), w.copy())

@@ -129,14 +129,18 @@ def covert_power_rate(g_bob, g_max, gamma_w: float, p_max: float, sigma_b_sq: fl
 _CROSS = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]])
 
 
+def _check_rings(k) -> None:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k, the number of sampling rings, must be an integer >= 1, got {k!r}")
+
+
 def sample_region(wu: WillieUncertainty, k: int = 1) -> np.ndarray:
     """Axis-aligned cross of 4k+1 sample points covering the uncertainty disk.
 
     The nominal center comes first, then +x/-x/+y/-y offsets at radii
     j*radius/k for j = 1..k; all points on the ground plane.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k, the number of sampling rings, must be an integer >= 1, got {k!r}")
+    _check_rings(k)
     steps = np.arange(1, k + 1) * wu.radius / k
     offsets = steps[:, None, None] * _CROSS  # (k, 4, 3)
     return np.vstack([wu.center, (wu.center + offsets).reshape(-1, 3)])

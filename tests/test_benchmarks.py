@@ -226,4 +226,19 @@ def test_channel_memo_never_answers_for_other_inputs():
     for name in [*moves, "in_place"]:
         assert name == "base" or any(answers[name, kind] != answers["base", kind]
                                      for kind in BenchmarkKind), name
-    assert len(sc.channels) == 2 * (len(moves) + 1)  # one entry per family and input set
+    # one entry per family and Bob/centre/geometry/constants set: "radius" and
+    # "k" share base's entry, and the in-place edit adds a set
+    assert len(sc.channels) == 2 * (len(moves) - 2 + 1)
+
+
+@pytest.mark.parametrize("k", [True, 2.0], ids=["bool", "float"])
+def test_warm_memo_still_rejects_non_integer_ring_counts(k):
+    # True == 1 and 2.0 == 2 hash alike, so a memo filled at k = 1 and k = 2
+    # would answer them if k were checked only on a miss
+    sc = _scenario()
+    for kind in BenchmarkKind:
+        evaluate(kind, sc, k=1)
+        evaluate(kind, sc, k=2)
+        with pytest.raises(ValueError, match="k, the number of sampling rings, must be an "
+                                             "integer >= 1"):
+            evaluate(kind, sc, k=k)

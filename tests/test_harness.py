@@ -466,6 +466,63 @@ def test_cached_reference_records_resolve_without_the_cache(monkeypatch, variabl
     assert len({id(result.w_tilde) for result, _ in evaluated}) == len(evaluated)
 
 
+@pytest.mark.parametrize("variable, values", REFERENCE_SWEEPS)
+def test_reference_records_survive_overwritten_beams(monkeypatch, variable, values):
+    # a caller that writes into every returned w_tilde changes no later record
+    # or beam, so no two results, and no result and the memo, share a beam
+    from passcovert import benchmarks
+
+    cfg = _small_config(trials=3)
+    evaluate = benchmarks.evaluate
+
+    def run(overwrite):
+        beams = []
+
+        def wrapped(kind, sc, k=1):
+            result = evaluate(kind, sc, k)
+            beams.append(None if result.w_tilde is None else result.w_tilde.copy())
+            if overwrite and result.w_tilde is not None:
+                result.w_tilde[:] = 1.0
+            return result
+
+        monkeypatch.setattr(benchmarks, "evaluate", wrapped)
+        return run_sweep(cfg, variable, values, SCHEMES[2:]), beams
+
+    records, beams = run(overwrite=False)
+    overwritten, seen = run(overwrite=True)
+    assert overwritten == records
+    assert len(seen) == len(beams) == len(records)
+    for got, want in zip(seen, beams):
+        assert (got is None and want is None) or np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("variable, values", REFERENCE_SWEEPS)
+def test_reference_beams_once_per_trial(monkeypatch, variable, values):
+    # each family's ZF and MRT weights are computed once per trial for the
+    # whole sweep; a radius value after the first computes only the channels
+    # of the 4k ring samples, reusing Bob's and the centre's
+    from passcovert import benchmarks
+
+    trials, k = 3, 2
+    calls = {"zf_weights": 0, "mrt_weights": 0}
+    receivers = {"effective_channel_at": [], "ula_channels": []}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(benchmarks, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(benchmarks, name, counted)
+    for name, at in (("ula_channels", 0), ("effective_channel_at", 1)):
+        def sized(*args, _name=name, _at=at, _original=getattr(benchmarks, name)):
+            receivers[_name].append(len(args[_at]))
+            return _original(*args)
+        monkeypatch.setattr(benchmarks, name, sized)
+    run_sweep(_small_config(trials=trials, willie_samples_k=k), variable, values, SCHEMES[2:])
+    assert calls == {"zf_weights": 2 * trials, "mrt_weights": 2 * trials}
+    later = len(values) - 1 if variable == "uncertainty_radius" else 0
+    for name in receivers:
+        assert receivers[name] == [2 + 4 * k] * trials + [4 * k] * trials * later, name
+
+
 GOLDEN_SWEEPS = {
     "target_error_rate": [0.80, 0.85, 0.90, 0.95],
     "power_budget": [10.0, 15.0, 20.0, 25.0, 30.0],
