@@ -103,7 +103,7 @@ def evaluate(kind: BenchmarkKind, sc: Scenario, k: int = 1) -> BenchmarkResult:
     proposed solvers: ZF nulls the nominal warden position, MRT matches Bob,
     and the power saturates the gain budget over the warden sample set.
 
-    ``sc.channels`` holds one entry per family (the fixed array, or the
+    ``sc.memo`` holds one entry per family (the fixed array, or the
     heuristic PASS layout) and trial, keyed by Bob, the warden centre, the
     geometry and the constants: Bob's and the centre's channels, each kind's
     weights and gain at Bob, and per ``(k, radius)`` the sample channels with
@@ -116,10 +116,10 @@ def evaluate(kind: BenchmarkKind, sc: Scenario, k: int = 1) -> BenchmarkResult:
     family = "mimo" if kind in (BenchmarkKind.MIMO_ZF, BenchmarkKind.MIMO_MRT) else "pass"
     key = (family, sc.r_b.tobytes(), sc.willie.center.tobytes(), sc.geom, sc.pc)
     rings = (k, sc.willie.radius)
-    trial = sc.channels.get(key)
+    trial = sc.memo.get(key)
     if trial is None:  # Bob, the centre and the rings in one call
         eff = _family_channels(family, np.vstack([sc.r_b[None, :], sc.willie_samples(k)]), sc)
-        trial = sc.channels[key] = {"h_b": eff[0], "h_w": eff[1], "beams": {},
+        trial = sc.memo[key] = {"h_b": eff[0], "h_w": eff[1], "beams": {},
                                     "rings": {rings: {"samples": eff[1:]}}}
     gains = trial["rings"].get(rings)
     if gains is None:  # the sample set starts at the kept centre row

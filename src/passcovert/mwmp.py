@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ReceiverTerms, _effective_batch, beam_gain
-from .detection import covert_power_rate, worst_case_gain
+from .detection import _check_rings, covert_power_rate, worst_case_gain
 from .geometry import PinchLayout
 from .scenario import Scenario
 
@@ -62,10 +62,36 @@ def _channels(ps_pos: np.ndarray, swarms: TwinSwarms) -> np.ndarray:
                             swarms.sc.pc, swarms.terms)
 
 
-def _fitness(gains: np.ndarray, swarms: TwinSwarms) -> np.ndarray:
-    """Covert rate of each row of receiver gains (J, 1 + S), Bob's gain first."""
-    return covert_power_rate(gains[:, 0], gains[:, 1:].max(axis=1), swarms.gamma_w,
+def _fitness(gains: np.ndarray, swarms: TwinSwarms, seen: np.ndarray | None = None
+             ) -> np.ndarray:
+    """Covert rate of each row of receiver gains (J, 1 + S), Bob's gain first.
+
+    The rate is taken from ``seen`` (2, J): each row's gain at Bob, then its
+    worst warden gain, written there when given (one row of ``Swarm.seen``).
+    """
+    seen = np.empty((2, len(gains))) if seen is None else seen
+    seen[0] = gains[:, 0]
+    gains[:, 1:].max(axis=1, out=seen[1])
+    return covert_power_rate(seen[0], seen[1], swarms.gamma_w,
                              swarms.sc.p_max, swarms.sc.sigma_b_sq)[1]
+
+
+def _replay(seen: np.ndarray, gamma_w: float, p_max: float, sigma_b_sq: float):
+    """Every decision ``Swarm.advance`` takes on recorded gains ``seen``
+    (T, 2, J) under one fitness map, and the global best score after each step.
+
+    Returns ``improved`` (T, J), which personal bests each step replaced;
+    ``moved_to`` (T,), the particle whose personal best the global best moved
+    to, or -1 where it stayed; and the global best scores (T,). A particle's
+    best improves when its score beats every earlier one (a NaN score never
+    does, and ``fmax`` skips it); the global best is the largest personal best,
+    and moves when that beats every earlier one, to its first holder.
+    """
+    scores = covert_power_rate(seen[:, 0], seen[:, 1], gamma_w, p_max, sigma_b_sq)[1]
+    best = np.fmax.accumulate(np.vstack([np.full(scores.shape[1], -np.inf), scores]))
+    glo = best.max(axis=1)  # glo[t]: the global best score before step t
+    moved_to = np.where(glo[1:] > glo[:-1], best[1:].argmax(axis=1), -1)
+    return scores > best[:-1], moved_to, glo[1:]
 
 
 def _clip(x: np.ndarray, lo: float, hi: float) -> None:
@@ -88,13 +114,16 @@ class Swarm:
     vel: np.ndarray
     bests: np.ndarray  # (2, *pos.shape): personal bests, then the global best in every row
     best_score: np.ndarray
+    # (iterations, 2, J): per step, each particle's gain at Bob and worst warden gain
+    seen: np.ndarray
     glo_score: float = -np.inf
 
     @classmethod
-    def start(cls, pos: np.ndarray, glo_pos: np.ndarray) -> Swarm:
+    def start(cls, pos: np.ndarray, glo_pos: np.ndarray, iterations: int) -> Swarm:
         """Zero velocities; every personal best is its start position at score -inf."""
         bests = np.stack([pos, np.broadcast_to(glo_pos, pos.shape)])
-        return cls(pos, np.zeros_like(pos), bests, np.full(len(pos), -np.inf))
+        return cls(pos, np.zeros_like(pos), bests, np.full(len(pos), -np.inf),
+                   np.empty((iterations, 2, len(pos))))
 
     @property
     def glo_pos(self) -> np.ndarray:
@@ -149,6 +178,7 @@ class TwinSwarms:
     # channels of the layout ps.glo_pos for the beamforming half; None until
     # the first step and again whenever ps.glo_pos moves
     bs_channel: np.ndarray | None = None
+    steps: int = 0  # steps taken, the row of Swarm.seen the next step records
 
 
 def _random_unit_rows(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
@@ -179,24 +209,26 @@ def init_swarms(sc: Scenario, params: PsoParams, k: int) -> TwinSwarms:
     bs_pos = _random_unit_rows(rng, params.n_bs, geom.n_wg)
     ps_glo = rng.random(geom.n_wg)
     bs_glo = _random_unit_rows(rng, 1, geom.n_wg)[0]
-    return TwinSwarms(Swarm.start(ps_pos, ps_glo), Swarm.start(bs_pos, bs_glo), rng, sc,
+    return TwinSwarms(Swarm.start(ps_pos, ps_glo, params.iterations),
+                      Swarm.start(bs_pos, bs_glo, params.iterations), rng, sc,
                       receivers, wg_y, np.arange(geom.m_pa) * geom.pa_spacing,
                       geom.usable_length, sc.gain_budget(),
                       ReceiverTerms(receivers, wg_y, geom.height))
 
 
-def step(swarms: TwinSwarms) -> tuple[float, float]:
-    """One full alternating iteration; returns both swarms' global best scores.
+def step(swarms: TwinSwarms) -> None:
+    """One full alternating iteration; each swarm's gains go to row
+    ``swarms.steps`` of its ``seen``.
 
     Random factors are drawn per dimension in a fixed order (PS cognitive, PS
     social, BS cognitive, BS social), so a seeded run is reproducible. The
     beamforming half reuses ``swarms.bs_channel`` until ``ps.glo_pos`` moves.
     """
-    ps, bs, rng = swarms.ps, swarms.bs, swarms.rng
+    ps, bs, rng, t = swarms.ps, swarms.bs, swarms.rng, swarms.steps
 
     # position half: weights fixed to the BS global best
     gains = np.abs(_channels(ps.pos, swarms) @ bs.glo_pos) ** 2
-    if ps.advance(_fitness(gains, swarms), rng):
+    if ps.advance(_fitness(gains, swarms, ps.seen[t]), rng):
         swarms.bs_channel = None
     _clip(ps.pos, 0.0, 1.0)
 
@@ -204,22 +236,61 @@ def step(swarms: TwinSwarms) -> tuple[float, float]:
     if swarms.bs_channel is None:
         swarms.bs_channel = _channels(ps.glo_pos[None], swarms)[0]
     gains = np.abs(bs.pos @ swarms.bs_channel.T) ** 2
-    bs.advance(_fitness(gains, swarms), rng)
+    bs.advance(_fitness(gains, swarms, bs.seen[t]), rng)
     _renormalize_rows(bs.pos, rng)
-
-    return ps.glo_score, bs.glo_score
+    swarms.steps = t + 1
 
 
 def solve(sc: Scenario, params: PsoParams, k: int = 1) -> MwmpSolution:
-    """Run the twin-swarm optimizer and evaluate the returned pair."""
-    swarms = init_swarms(sc, params, k)
-    # each global-best score only rises, so the larger one is the best so far
-    trace = np.array([max(step(swarms)) for _ in range(params.iterations)])
+    """Run the twin-swarm optimizer and evaluate the returned pair.
 
-    w_tilde = swarms.bs.glo_pos
-    x_init = swarms.ps.glo_pos * swarms.usable_len
+    Gamma_w, P_max and sigma_b^2 enter a run only through the fitness map, so
+    ``sc.memo`` keeps one reference run per trial, keyed by Bob and the warden
+    centre: both swarms' ``seen`` gains, the decisions ``_replay`` derives from
+    them, the returned pair and the receivers, for the radius, ``k``,
+    geometry, constants and ``params`` it ran at. When those match and the
+    replay of the recorded gains under this scenario's map takes every
+    decision the reference took, a run would retrace the reference's
+    positions (each step's gains follow from the earlier decisions), so only
+    the final gains, power and rate are computed. Otherwise the swarms run and
+    replace the reference. The answer bits are those of an empty memo, and
+    every array of the result is its own.
+    """
+    _check_rings(k)
+    gamma_w = sc.gain_budget()
+    key = ("mwmp", sc.r_b.tobytes(), sc.willie.center.tobytes())
+    inputs = (sc.willie.radius, k, sc.geom, sc.pc, params)
+    ref = sc.memo.get(key)
+    if ref is not None and ref["inputs"] == inputs:
+        decisions, trace = _replay_twins(ref["seen"], gamma_w, sc)
+        if all(map(np.array_equal, ref["decisions"], decisions)):
+            return _answer(sc, ref, gamma_w, trace)
+    swarms = init_swarms(sc, params, k)
+    for _ in range(params.iterations):
+        step(swarms)
+    seen = swarms.ps.seen, swarms.bs.seen
+    decisions, trace = _replay_twins(seen, gamma_w, sc)
+    ref = sc.memo[key] = {
+        "inputs": inputs, "seen": seen, "decisions": decisions,
+        "w_tilde": swarms.bs.glo_pos.copy(), "x_init": swarms.ps.glo_pos * swarms.usable_len,
+        "receivers": swarms.receivers}
+    return _answer(sc, ref, gamma_w, trace)
+
+
+def _replay_twins(seen: tuple, gamma_w: float, sc: Scenario) -> tuple[tuple, np.ndarray]:
+    """Both swarms' decisions (PS improved and moved-to, then BS) on their
+    recorded gains under the fitness map of ``sc``, and the trace."""
+    (improved_ps, to_ps, glo_ps), (improved_bs, to_bs, glo_bs) = (
+        _replay(s, gamma_w, sc.p_max, sc.sigma_b_sq) for s in seen)
+    # each global-best score only rises, so the larger one is the best so far
+    return (improved_ps, to_ps, improved_bs, to_bs), np.maximum(glo_ps, glo_bs)
+
+
+def _answer(sc: Scenario, ref: dict, gamma_w: float, trace: np.ndarray) -> MwmpSolution:
+    """The covert power and rate of a reference run's pair on ``sc``."""
+    w_tilde, x_init = ref["w_tilde"], ref["x_init"]
     layout = PinchLayout(sc.geom, x_init)
-    g_max = worst_case_gain(layout, w_tilde, swarms.receivers[1:], sc.pc)
+    g_max = worst_case_gain(layout, w_tilde, ref["receivers"][1:], sc.pc)
     g_bob = float(beam_gain(layout, w_tilde, sc.r_b[None, :], sc.pc)[0])
-    power, rate = covert_power_rate(g_bob, g_max, swarms.gamma_w, sc.p_max, sc.sigma_b_sq)
-    return MwmpSolution(w_tilde.copy(), x_init, float(power), float(rate), trace)
+    power, rate = covert_power_rate(g_bob, g_max, gamma_w, sc.p_max, sc.sigma_b_sq)
+    return MwmpSolution(w_tilde.copy(), x_init.copy(), float(power), float(rate), trace)

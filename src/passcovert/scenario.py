@@ -25,7 +25,8 @@ class Scenario:
     p_max: float  # W
     geom: PassGeometry
     pc: PhysConstants
-    channels: dict = field(default_factory=dict, repr=False)  # see benchmarks.evaluate
+    # results that later scenarios of a sweep reuse; see benchmarks.evaluate, mwmp.solve
+    memo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.r_b = as_vec3(self.r_b)

@@ -213,14 +213,14 @@ def test_channel_memo_never_answers_for_other_inputs():
     }
     answers = {}
     for name, (moved, k) in moves.items():
-        assert moved.channels is sc.channels
+        assert moved.memo is sc.memo
         for kind in BenchmarkKind:  # both families fill the one memo
-            fresh = _bits(evaluate(kind, dataclasses.replace(moved, channels={}), k=k))
+            fresh = _bits(evaluate(kind, dataclasses.replace(moved, memo={}), k=k))
             assert _bits(evaluate(kind, moved, k=k)) == fresh, (name, kind)
             answers[name, kind] = fresh
     sc.r_b[:] = (22.0, 1.0, 0.0)  # an in-place edit under the cached entries
     for kind in BenchmarkKind:
-        fresh = _bits(evaluate(kind, dataclasses.replace(sc, channels={})))
+        fresh = _bits(evaluate(kind, dataclasses.replace(sc, memo={})))
         assert _bits(evaluate(kind, sc)) == fresh, ("in_place", kind)
         answers["in_place", kind] = fresh
     for name in [*moves, "in_place"]:
@@ -228,7 +228,7 @@ def test_channel_memo_never_answers_for_other_inputs():
                                      for kind in BenchmarkKind), name
     # one entry per family and Bob/centre/geometry/constants set: "radius" and
     # "k" share base's entry, and the in-place edit adds a set
-    assert len(sc.channels) == 2 * (len(moves) - 2 + 1)
+    assert len(sc.memo) == 2 * (len(moves) - 2 + 1)
 
 
 @pytest.mark.parametrize("k", [True, 2.0], ids=["bool", "float"])

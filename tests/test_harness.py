@@ -402,6 +402,19 @@ def test_emitted_rows_revalidate_post_hoc(tmp_path):
             assert np.all(beam_gain(layout, beam.weights, samples, base.pc) <= gamma_w + 1e-12)
 
 
+def _memo_arrays(memo: dict):
+    """Every array held anywhere in a scenario memo's entries."""
+    stack = list(memo.values())
+    while stack:
+        item = stack.pop()
+        if isinstance(item, np.ndarray):
+            yield item
+        elif isinstance(item, dict):
+            stack.extend(item.values())
+        elif isinstance(item, (tuple, list)):
+            stack.extend(item)
+
+
 REFERENCE_SWEEPS = [("target_error_rate", [0.85, 0.9, 0.95]),
                     ("power_budget", [10.0, 20.0, 25.0]),
                     ("uncertainty_radius", [0.25, 0.5, 1.5])]
@@ -457,12 +470,15 @@ def test_cached_reference_records_resolve_without_the_cache(monkeypatch, variabl
     scenarios = sample_scenarios(cfg)
     for row, (result, cached) in zip(records, evaluated):
         sc = dataclasses.replace(_apply_sweep_value(scenarios[row.trial], variable,
-                                                    row.sweep_value), channels={})
+                                                    row.sweep_value), memo={})
         rate, power, alone = solve_scheme(row.scheme, sc, cfg, row.seed)
         assert (rate, power) == (row.covert_rate, row.p_opt) == (result.rate, result.power)
         assert np.array_equal(result.w_tilde, alone.w_tilde)
-        assert {key[0] for key in cached.channels} == {"mimo", "pass"}
-        assert not any(np.shares_memory(result.w_tilde, eff) for eff in cached.channels.values())
+        assert {key[0] for key in cached.memo} == {"mimo", "pass"}
+        kept = list(_memo_arrays(cached.memo))
+        if result.w_tilde is not None:  # the walk reaches the kept weights
+            assert any(np.array_equal(result.w_tilde, a) for a in kept)
+        assert not any(np.shares_memory(result.w_tilde, a) for a in kept)
     assert len({id(result.w_tilde) for result, _ in evaluated}) == len(evaluated)
 
 
@@ -521,6 +537,98 @@ def test_reference_beams_once_per_trial(monkeypatch, variable, values):
     later = len(values) - 1 if variable == "uncertainty_radius" else 0
     for name in receivers:
         assert receivers[name] == [2 + 4 * k] * trials + [4 * k] * trials * later, name
+
+
+MWMP_SWEEPS = {"target_error_rate": ("target_error_rate", [0.8, 0.85, 0.9, 0.95]),
+               "power_up": ("power_budget", [10.0, 15.0, 20.0, 25.0, 30.0]),
+               "power_down": ("power_budget", [30.0, 25.0, 20.0, 15.0, 10.0]),
+               "uncertainty_radius": ("uncertainty_radius", [0.1, 0.5, 1.0])}
+MWMP_SHAPES = {"defaults": {},
+               "20+25 particles, k=2": dict(pso_pop_bs=20, pso_pop_ps=25, willie_samples_k=2)}
+# real TwinPSO runs of each seeded 10-trial sweep below (40, 50, 50 and 30 records);
+# a radius value moves the warden samples, so none of its records is a replay
+MWMP_REAL_RUNS = {
+    ("defaults", "target_error_rate"): 15, ("defaults", "power_up"): 34,
+    ("defaults", "power_down"): 34, ("defaults", "uncertainty_radius"): 30,
+    ("20+25 particles, k=2", "target_error_rate"): 11, ("20+25 particles, k=2", "power_up"): 20,
+    ("20+25 particles, k=2", "power_down"): 20, ("20+25 particles, k=2", "uncertainty_radius"): 30,
+}
+
+
+def _solve_recorder(monkeypatch, mwmp):
+    """Replace ``mwmp.solve`` and ``mwmp.init_swarms`` by recording wrappers:
+    (scenario, solution) of every solve, and one entry per real run."""
+    solved, runs = [], []
+    solve, init_swarms = mwmp.solve, mwmp.init_swarms
+
+    def recording(sc, params, k=1):
+        solved.append((sc, solve(sc, params, k)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(mwmp, "solve", recording)
+    monkeypatch.setattr(mwmp, "init_swarms", lambda *args: runs.append(1) or init_swarms(*args))
+    return solved, runs
+
+
+@pytest.mark.parametrize("shape", MWMP_SHAPES)
+@pytest.mark.parametrize("sweep", MWMP_SWEEPS)
+def test_mwmp_replayed_records_equal_fresh_runs(monkeypatch, shape, sweep):
+    # a record served by replaying a trial's reference run is the record a
+    # real run on an empty memo gives, bit for bit, and owns its arrays
+    from passcovert import mwmp
+    from passcovert.harness import solve_scheme
+
+    variable, values = MWMP_SWEEPS[sweep]
+    cfg = dataclasses.replace(ExperimentConfig(), trials=10, seed=21, **MWMP_SHAPES[shape])
+    solved, runs = _solve_recorder(monkeypatch, mwmp)
+    records = run_sweep(cfg, variable, values, ("mwmp",))
+    monkeypatch.undo()
+    assert len(records) == len(solved) == len(values) * cfg.trials
+    for row, (sc, sol) in zip(records, solved):
+        rate, power, alone = solve_scheme("mwmp", dataclasses.replace(sc, memo={}), cfg, row.seed)
+        assert (rate, power) == (row.covert_rate, row.p_opt) == (sol.rate, sol.power)
+        for name in ("trace", "x_init", "w_tilde"):
+            assert getattr(sol, name).tobytes() == getattr(alone, name).tobytes(), name
+        kept = list(_memo_arrays(sc.memo))
+        assert len(sc.memo) == cfg.trials and kept
+        assert not any(np.shares_memory(getattr(sol, name), a)
+                       for name in ("trace", "x_init", "w_tilde") for a in kept)
+    assert len(runs) == MWMP_REAL_RUNS[shape, sweep]
+
+
+@pytest.mark.parametrize("sweep", ["target_error_rate", "power_up", "power_down"])
+def test_mwmp_records_survive_overwritten_answers(monkeypatch, sweep):
+    # a caller that writes into every returned w_tilde, x_init and trace
+    # changes no later record or answer, replayed ones included
+    from passcovert import mwmp
+
+    variable, values = MWMP_SWEEPS[sweep]
+    cfg = _small_config(trials=3)
+    solve, init_swarms = mwmp.solve, mwmp.init_swarms
+    names = ("w_tilde", "x_init", "trace")
+
+    def run(overwrite):
+        answers, runs = [], []
+
+        def wrapped(sc, params, k=1):
+            sol = solve(sc, params, k)
+            answers.append([getattr(sol, name).copy() for name in names])
+            if overwrite:
+                for name in names:
+                    getattr(sol, name)[:] = 1.0
+            return sol
+
+        monkeypatch.setattr(mwmp, "solve", wrapped)
+        monkeypatch.setattr(mwmp, "init_swarms", lambda *a: runs.append(1) or init_swarms(*a))
+        return run_sweep(cfg, variable, values, ("mwmp",)), answers, len(runs)
+
+    records, answers, runs = run(overwrite=False)
+    overwritten, seen, runs_again = run(overwrite=True)
+    assert runs == runs_again < len(records)  # some records are replays
+    assert overwritten == records
+    for got, want in zip(seen, answers):
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
 
 
 GOLDEN_SWEEPS = {

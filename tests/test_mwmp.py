@@ -147,7 +147,7 @@ def test_trace_monotone_and_deterministic():
     sc = _scenario()
     params = PsoParams(iterations=40, seed=21)
     a = solve(sc, params)
-    b = solve(sc, params)
+    b = solve(dataclasses.replace(sc, memo={}), params)  # a second run, not a replay
     assert np.all(np.diff(a.trace) >= 0.0)
     np.testing.assert_array_equal(a.trace, b.trace)
     np.testing.assert_array_equal(a.w_tilde, b.w_tilde)
@@ -233,11 +233,85 @@ def test_solve_reads_trace_and_answer_off_the_stepped_swarms():
     sc, k = _scenario(n=3, m=4), 2
     params = PsoParams(n_bs=20, n_ps=25, iterations=30, seed=8)
     swarms = init_swarms(sc, params, k)
-    best, running = -np.inf, []
+    # the trace _replay derives from the recorded gains is the live global best
+    running = []
     for _ in range(params.iterations):
-        best = max(best, *step(swarms))
-        running.append(best)
+        step(swarms)
+        running.append(max(swarms.ps.glo_score, swarms.bs.glo_score))
     sol = solve(sc, params, k)
     assert sol.trace.tobytes() == np.array(running).tobytes()
     assert sol.x_init.tobytes() == (swarms.ps.glo_pos * swarms.usable_len).tobytes()
     assert sol.w_tilde.tobytes() == swarms.bs.glo_pos.tobytes()
+
+
+# config keys whose change leaves the swarm's inputs alone and moves only the
+# fitness map (the warden gain budget, P_max or Bob's noise)
+_FITNESS_MAP_KEYS = {"rho_w": 0.2, "sigma_w_dbm": -95.0, "delta_sigma_db": 3.0,
+                     "sigma_b_dbm": -90.0, "p_max_dbm": 20.0}
+# config keys that move Bob, the warden centre or radius, or the geometry: the
+# height, length, waveguide count (with its y coordinates), the y spacing alone,
+# the antennas per waveguide and their spacing, and the constants
+_RUN_KEYS = {"bob_x_m": 14.0, "willie_y_m": -7.5, "delta_r_m": 1.5, "height_m": 2.5,
+             "waveguide_length_m": 24.0, "num_waveguides": 3, "wg_spacing_m": 2.0,
+             "pas_per_waveguide": 2, "pa_spacing_m": 0.006, "carrier_freq_hz": 30e9,
+             "n_eff": 1.5}
+
+
+def test_memo_replays_only_for_the_same_swarm_inputs(monkeypatch):
+    # a lookup counts only for the same Bob, warden centre, radius, k, geometry,
+    # constants and PSO parameters; any other change only attempts a replay
+    base = {"num_waveguides": 2, "pas_per_waveguide": 1, "pa_spacing_m": 0.0054,
+            "bob_x_m": 15.0, "bob_y_m": 4.0, "willie_x_m": 5.0, "willie_y_m": -8.0}
+    params = PsoParams(n_bs=6, n_ps=5, iterations=12, seed=3)
+    events = []
+    replay, start = mwmp._replay, mwmp.init_swarms
+    monkeypatch.setattr(mwmp, "_replay", lambda *a: events.append("replay") or replay(*a))
+    monkeypatch.setattr(mwmp, "init_swarms", lambda *a: events.append("run") or start(*a))
+
+    def after_reference(sc, moved_sc, moved_params=params, k=1):
+        """Events of a solve of ``moved_sc`` on the memo of a solve of ``sc``."""
+        solve(sc, params)
+        moved = dataclasses.replace(moved_sc, memo=sc.memo)
+        events.clear()
+        sol = solve(moved, moved_params, k)
+        alone = solve(dataclasses.replace(moved_sc, memo={}), moved_params, k)
+        assert (sol.rate, sol.power, sol.trace.tobytes()) == (
+            alone.rate, alone.power, alone.trace.tobytes())
+        return events[:2]
+
+    def scenario(**over):
+        return config_from_dict({**base, **over}).scenario("mwmp")
+
+    for key, value in _FITNESS_MAP_KEYS.items():
+        assert after_reference(scenario(), scenario(**{key: value})) == ["replay"] * 2, key
+    for key, value in _RUN_KEYS.items():
+        assert after_reference(scenario(), scenario(**{key: value})) == ["run", "replay"], key
+    sc = scenario()
+    for name in ("wavelength", "k_c", "k_g", "eta"):
+        moved = dataclasses.replace(sc, pc=dataclasses.replace(
+            sc.pc, **{name: getattr(sc.pc, name) * 1.01}))
+        assert after_reference(scenario(), moved) == ["run", "replay"], name
+    for name in ("n_bs", "n_ps", "iterations", "seed"):
+        moved_params = dataclasses.replace(params, **{name: getattr(params, name) + 1})
+        assert after_reference(scenario(), scenario(), moved_params) == ["run", "replay"], name
+    assert after_reference(scenario(), scenario(), k=2) == ["run", "replay"]
+    assert after_reference(scenario(), scenario()) == ["replay"] * 2
+    # the key is read at lookup time: Bob moved in place is a new trial
+    sc = scenario()
+    solve(sc, params)
+    sc.r_b[0] = 14.0
+    events.clear()
+    solve(sc, params)
+    assert events[:2] == ["run", "replay"]
+
+
+@pytest.mark.parametrize("k", [True, 2.0], ids=["bool", "float"])
+def test_warm_memo_still_rejects_non_integer_ring_counts(k):
+    # True == 1 and 2.0 == 2, so a reference run at k = 1 or 2 would match
+    # them if k were checked only on a real run
+    sc = _scenario()
+    params = PsoParams(n_bs=4, n_ps=4, iterations=3, seed=1)
+    solve(sc, params, int(k))
+    with pytest.raises(ValueError, match="k, the number of sampling rings, must be an "
+                                         "integer >= 1"):
+        solve(sc, params, k)

@@ -102,7 +102,7 @@ def test_channel_cache_leaves_the_bound_calls_alone():
         kind, sc, k = arguments["kind"], arguments["sc"], arguments["k"]
         assert kind.value == rec.scheme and k == config.willie_samples_k
         # on the captured sc itself the memo would answer
-        alone = benchmarks.evaluate(kind, dataclasses.replace(sc, channels={}), k=k)
+        alone = benchmarks.evaluate(kind, dataclasses.replace(sc, memo={}), k=k)
         assert ((alone.rate, alone.power) == (cached.rate, cached.power)
                 == (rec.covert_rate, rec.p_opt))
         assert np.array_equal(alone.w_tilde, cached.w_tilde)
