@@ -47,11 +47,12 @@ def freespace_vector(x_pa, wg_y: float, r, geom, pc: PhysConstants) -> np.ndarra
 
 
 def _receiver_terms(receivers: np.ndarray, wg_y: np.ndarray, height: float):
-    """Receiver x (K, 1, 1, 1), squared y offset of each receiver to each
-    waveguide (K, 1, N, 1) and squared height offset (K, 1, 1, 1)."""
-    dy = receivers[:, 1, None] - wg_y
-    dz = receivers[:, 2:, None, None] - height
-    return receivers[:, :1, None, None], (dy * dy)[:, None, :, None], dz * dz
+    """Receiver x (K, *T, 1, 1, 1), squared y offset of each receiver to each
+    waveguide (K, *T, 1, N, 1) and squared height offset (K, *T, 1, 1, 1), for
+    receivers (K, *T, 3) with T the trial axis, if any."""
+    dy = receivers[..., 1, None] - wg_y
+    dz = receivers[..., 2:, None, None] - height
+    return receivers[..., :1, None, None], (dy * dy)[..., None, :, None], dz * dz
 
 
 class ReceiverTerms:
@@ -65,7 +66,7 @@ class ReceiverTerms:
 
     def __init__(self, receivers: np.ndarray, wg_y: np.ndarray, height: float):
         self.rx, self.dy2, self.dz2 = _receiver_terms(receivers, wg_y, height)
-        self._work = {}  # (J, N, M) -> (dist, dy2, arg, phasor), each (K, J, N, M)
+        self._work = {}  # (J, N, M) -> (dist, dy2, arg, phasor), each (K, *T, J, N, M)
 
     def work(self, j: int, n: int, m: int):
         """Work arrays for a call on j layouts. ``arg``, the argument of the
@@ -73,7 +74,7 @@ class ReceiverTerms:
         real part stays zero from call to call."""
         arrays = self._work.get((j, n, m))
         if arrays is None:
-            shape = (len(self.rx), j, n, m)
+            shape = (*self.rx.shape[:-3], j, n, m)
             arrays = self._work[(j, n, m)] = (np.empty(shape), np.broadcast_to(self.dy2, shape).copy(),
                                               np.zeros(shape, dtype=complex),
                                               np.empty(shape, dtype=complex))
@@ -87,7 +88,9 @@ def _effective_batch(pa_x: np.ndarray, wg_y: np.ndarray, height: float,
 
     pa_x: (..., N, M) antenna x coordinates; receivers: (K, 3).
     Returns (..., K, N) where entry n is sum_m conj(h_nm) * g_m, so the received
-    amplitude is the plain dot product with the weight vector.
+    amplitude is the plain dot product with the weight vector. Receivers
+    (K, B, 3) stack B trials' receiver sets: pa_x is then (B, ..., N, M), and
+    trial b's layouts meet only its own receivers.
 
     ``terms``, the :class:`ReceiverTerms` of ``receivers``, ``wg_y`` and
     ``height``, spares a caller that makes many calls on one receiver set the
@@ -95,15 +98,16 @@ def _effective_batch(pa_x: np.ndarray, wg_y: np.ndarray, height: float,
     it a call allocates only what it needs and runs the exp in place.
 
     The work runs receivers first, in (K, J, N, M) blocks with J the number of
-    layouts, and keeps the operations and their order of
-    sqrt(eta/M) * sum_m exp(j phase) / dist, so the result is bit-identical to
-    that broadcast formula. Dividing by dist is a multiply by 1/dist: numpy
+    layouts ((K, B, J, N, M) for stacked trials), and keeps the operations and
+    their order of sqrt(eta/M) * sum_m exp(j phase) / dist, so the result is
+    bit-identical to that broadcast formula. Dividing by dist is a multiply by 1/dist: numpy
     divides a complex by a real d as by d + 0j, which scales both parts by
     the same 1/d.
     """
     *lead, n, m = pa_x.shape
-    j = math.prod(lead)
-    px = pa_x.reshape(j, n, m)
+    k, *trials, _ = receivers.shape
+    j = math.prod(lead[len(trials):])
+    px = pa_x.reshape(*trials, j, n, m)
     if terms is None:
         rx, dy2, dz2 = _receiver_terms(receivers, wg_y, height)
         dist = rx - px
@@ -124,8 +128,8 @@ def _effective_batch(pa_x: np.ndarray, wg_y: np.ndarray, height: float,
     phasor *= dist
     # the result is layouts first and contiguous, as the broadcast formula
     # returns it, so a following ``@`` hands BLAS the same operand
-    out = np.empty((j, len(dist), n), dtype=complex)
-    total = out.transpose(1, 0, 2)  # receivers first, like phasor
+    out = np.empty((*trials, j, k, n), dtype=complex)
+    total = out.transpose(-2, *range(out.ndim - 2), -1)  # receivers first, like phasor
     scale = math.sqrt(pc.eta / m)
     if m == 1 or m > 3:
         np.multiply(phasor[..., 0] if m == 1 else np.sum(phasor, axis=-1), scale, out=total)
@@ -134,7 +138,7 @@ def _effective_batch(pa_x: np.ndarray, wg_y: np.ndarray, height: float,
         if m == 3:
             total += phasor[..., 2]
         out *= scale
-    return out.reshape(*lead, len(dist), n)
+    return out.reshape(*lead, k, n)
 
 
 def effective_channel_at(layout: PinchLayout, receivers, pc: PhysConstants) -> np.ndarray:

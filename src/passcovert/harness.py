@@ -137,6 +137,9 @@ def run_sweep(config: ExperimentConfig, variable: str, values,
         for scheme in schemes:
             instances = ([dataclasses.replace(sc, geom=swsp_geom) for sc in trials]
                          if scheme == "swsp" else trials)
+            if scheme == "mwmp":  # the value's runs step together; each record is answered below
+                mwmp.run_many(instances, [config.pso_params(seed) for seed in seeds],
+                              config.willie_samples_k)
             for trial, (sc, seed) in enumerate(zip(instances, seeds)):
                 rate, power, _ = solve_scheme(scheme, sc, config, seed)
                 records.append(SweepRecord(scheme, variable, value, trial, rate, power, seed))

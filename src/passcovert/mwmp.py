@@ -24,6 +24,7 @@ _INERTIA = 0.8
 _COGNITIVE = 2.0
 _SOCIAL = 2.0
 _V_MAX = 0.3
+_WEIGHTS = np.array([_COGNITIVE, _SOCIAL])[:, None, None]  # scales theta1 and theta2
 
 
 @dataclass(frozen=True)
@@ -56,24 +57,25 @@ class MwmpSolution:
 
 
 def _channels(ps_pos: np.ndarray, swarms: TwinSwarms) -> np.ndarray:
-    """Effective channels (J, 1 + S, N) of a batch (J, N) of normalized layouts."""
-    pa_x = ps_pos[:, :, None] * swarms.usable_len + swarms.pa_offsets[None, None, :]
+    """Effective channels (B, J, 1 + S, N) of each trial's batch (J, N) of
+    normalized layouts, in one kernel call on the stacked receivers."""
+    pa_x = ps_pos[..., None] * swarms.usable_len + swarms.pa_offsets
     return _effective_batch(pa_x, swarms.wg_y, swarms.sc.geom.height, swarms.receivers,
                             swarms.sc.pc, swarms.terms)
 
 
 def _fitness(gains: np.ndarray, swarms: TwinSwarms, seen: np.ndarray | None = None
              ) -> np.ndarray:
-    """Covert rate of each row of receiver gains (J, 1 + S), Bob's gain first.
+    """Covert rate (B, J) of each trial's rows of receiver gains (B, J, 1 + S),
+    Bob's gain first, under that trial's fitness map.
 
-    The rate is taken from ``seen`` (2, J): each row's gain at Bob, then its
+    The rate is taken from ``seen`` (B, 2, J): each row's gain at Bob, then its
     worst warden gain, written there when given (one row of ``Swarm.seen``).
     """
-    seen = np.empty((2, len(gains))) if seen is None else seen
-    seen[0] = gains[:, 0]
-    gains[:, 1:].max(axis=1, out=seen[1])
-    return covert_power_rate(seen[0], seen[1], swarms.gamma_w,
-                             swarms.sc.p_max, swarms.sc.sigma_b_sq)[1]
+    seen = np.empty((len(gains), 2, gains.shape[1])) if seen is None else seen
+    seen[:, 0] = gains[..., 0]
+    gains[..., 1:].max(axis=-1, out=seen[:, 1])
+    return covert_power_rate(seen[:, 0], seen[:, 1], *swarms.fitness_map)[1]
 
 
 def _replay(seen: np.ndarray, gamma_w: float, p_max: float, sigma_b_sq: float):
@@ -102,58 +104,63 @@ def _clip(x: np.ndarray, lo: float, hi: float) -> None:
 
 @dataclass(eq=False)
 class Swarm:
-    """One particle swarm (Kennedy & Eberhart 1995): positions, velocities and the
-    personal and global bests, real or complex alike.
+    """One particle swarm (Kennedy & Eberhart 1995) per trial, stacked on a
+    leading trial axis: positions, velocities and the personal and global
+    bests, real or complex alike.
 
     ``bests`` stacks the two attractors of every particle, its personal best
     and the global best, so that one subtraction and one multiply give both
     pulls of the velocity update.
     """
 
-    pos: np.ndarray
+    pos: np.ndarray  # (B, J, N)
     vel: np.ndarray
-    bests: np.ndarray  # (2, *pos.shape): personal bests, then the global best in every row
-    best_score: np.ndarray
-    # (iterations, 2, J): per step, each particle's gain at Bob and worst warden gain
+    bests: np.ndarray  # (B, 2, J, N): personal bests, then the global best in every row
+    best_score: np.ndarray  # (B, J)
+    # (iterations, B, 2, J): per step, each particle's gain at Bob and worst warden gain
     seen: np.ndarray
-    glo_score: float = -np.inf
+    glo_score: np.ndarray  # (B,)
 
     @classmethod
     def start(cls, pos: np.ndarray, glo_pos: np.ndarray, iterations: int) -> Swarm:
         """Zero velocities; every personal best is its start position at score -inf."""
-        bests = np.stack([pos, np.broadcast_to(glo_pos, pos.shape)])
-        return cls(pos, np.zeros_like(pos), bests, np.full(len(pos), -np.inf),
-                   np.empty((iterations, 2, len(pos))))
+        bests = np.stack([pos, np.broadcast_to(glo_pos[:, None], pos.shape)], axis=1)
+        b, j = pos.shape[:2]
+        return cls(pos, np.zeros_like(pos), bests, np.full((b, j), -np.inf),
+                   np.empty((iterations, b, 2, j)), np.full(b, -np.inf))
 
     @property
     def glo_pos(self) -> np.ndarray:
-        return self.bests[1, 0]
+        return self.bests[:, 1, 0]
 
-    def advance(self, scores: np.ndarray, rng: np.random.Generator) -> bool:
-        """Take in the scores of ``pos`` and move every particle; returns whether
-        the global best moved.
+    def advance(self, scores: np.ndarray, rngs: list) -> bool:
+        """Take in the scores (B, J) of ``pos`` and move every particle; returns
+        whether any trial's global best moved.
 
-        Draws theta1 then theta2, one factor per coordinate, in one call (the
-        same stream as two), and updates the velocity in the float order of
+        Each trial draws theta1 then theta2 from its own generator, one factor
+        per coordinate, in one call (the same stream as two), and the velocity
+        is updated in the float order of
         _INERTIA * vel + _COGNITIVE * theta1 * (best - pos) + _SOCIAL * theta2 * (glo - pos).
         The cap ``_V_MAX`` applies to real and imaginary parts independently.
         """
         improved = scores > self.best_score
         np.copyto(self.best_score, scores, where=improved)
-        np.copyto(self.bests[0], self.pos, where=improved[:, None])
-        best = int(self.best_score.argmax())
-        moved = bool(self.best_score[best] > self.glo_score)
-        if moved:
-            self.glo_score = float(self.best_score[best])
-            self.bests[1] = self.bests[0, best]
-        theta = rng.random(self.bests.shape)
-        theta[0] *= _COGNITIVE
-        theta[1] *= _SOCIAL
-        pull = self.bests - self.pos
+        np.copyto(self.bests[:, 0], self.pos, where=improved[..., None])
+        moved = False
+        for b, i in enumerate(self.best_score.argmax(axis=1).tolist()):
+            if self.best_score[b, i] > self.glo_score[b]:
+                moved = True
+                self.glo_score[b] = self.best_score[b, i]
+                self.bests[b, 1] = self.bests[b, 0, i]
+        theta = np.empty(self.bests.shape)
+        for rng, out in zip(rngs, theta):
+            rng.random(out=out)
+        theta *= _WEIGHTS
+        pull = self.bests - self.pos[:, None]
         pull *= theta
         self.vel *= _INERTIA
-        self.vel += pull[0]
-        self.vel += pull[1]
+        self.vel += pull[:, 0]
+        self.vel += pull[:, 1]
         _clip(self.vel.view(float), -_V_MAX, _V_MAX)
         self.pos += self.vel
         return moved
@@ -161,136 +168,212 @@ class Swarm:
 
 @dataclass(eq=False)
 class TwinSwarms:
-    """The state of one solve: both swarms, their generator, and the receivers
-    and kernel terms every fitness evaluation shares. Positions always satisfy
-    their constraints."""
+    """The state of B lockstep runs, one per trial: both swarms, each trial's
+    generator and fitness map, and the receivers and kernel terms every
+    fitness evaluation shares. The trials share the geometry and constants of
+    ``sc``, the first trial's scenario. Positions always satisfy their
+    constraints."""
 
-    ps: Swarm  # normalized first-antenna positions, real (n_ps, N) in [0, 1]
-    bs: Swarm  # beamforming weights, complex unit rows (n_bs, N)
-    rng: np.random.Generator
+    ps: Swarm  # normalized first-antenna positions, real (B, n_ps, N) in [0, 1]
+    bs: Swarm  # beamforming weights, complex unit rows (B, n_bs, N)
+    rngs: list  # one np.random.Generator per trial
     sc: Scenario
-    receivers: np.ndarray  # (1 + S, 3), Bob first
+    receivers: np.ndarray  # (1 + S, B, 3): each trial's Bob first, then its warden samples
+    fitness_map: tuple  # Gamma_w, P_max and sigma_b^2: each a float, or (B, 1) per trial
     wg_y: np.ndarray
     pa_offsets: np.ndarray  # (M,) spacing steps
     usable_len: float
-    gamma_w: float
-    terms: ReceiverTerms  # the kernel's receiver side, built once per solve
-    # channels of the layout ps.glo_pos for the beamforming half; None until
-    # the first step and again whenever ps.glo_pos moves
+    terms: ReceiverTerms  # the kernel's receiver side, built once per run
+    # channels (B, 1 + S, N) of the layouts ps.glo_pos for the beamforming half;
+    # None until the first step and again whenever some trial's ps.glo_pos moves
     bs_channel: np.ndarray | None = None
     steps: int = 0  # steps taken, the row of Swarm.seen the next step records
 
 
 def _random_unit_rows(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
     raw = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
-    _renormalize_rows(raw, rng)
+    _renormalize_rows(raw[None], [rng])
     return raw
 
 
-def _renormalize_rows(pos: np.ndarray, rng: np.random.Generator) -> None:
-    """Unit-normalize each particle in place; a zero particle is re-randomized."""
-    norms = np.linalg.norm(pos, axis=1, keepdims=True)
-    zero = norms[:, 0] == 0.0
+def _renormalize_rows(pos: np.ndarray, rngs: list) -> None:
+    """Unit-normalize each particle of each trial's swarm (B, J, N) in place; a
+    zero particle is re-randomized from its own trial's generator."""
+    norms = np.linalg.norm(pos, axis=-1, keepdims=True)
+    zero = norms[..., 0] == 0.0
     if zero.any():
-        pos[zero] = _random_unit_rows(rng, int(zero.sum()), pos.shape[1])
-        norms = np.linalg.norm(pos, axis=1, keepdims=True)
+        for b in np.flatnonzero(zero.any(axis=1)):
+            pos[b, zero[b]] = _random_unit_rows(rngs[b], int(zero[b].sum()), pos.shape[-1])
+        norms = np.linalg.norm(pos, axis=-1, keepdims=True)
     pos /= norms
 
 
-def init_swarms(sc: Scenario, params: PsoParams, k: int) -> TwinSwarms:
-    """Random start from ``params.seed``: PS uniform on [0,1]^N, BS complex-normal
-    rows normalized, random global-best positions; Bob and the 4k + 1 warden
-    samples are the receivers."""
-    receivers = np.vstack([sc.r_b[None, :], sc.willie_samples(k)])
+def _start_draws(rng: np.random.Generator, params: PsoParams, n: int) -> tuple:
+    """One trial's random start: PS uniform on [0,1]^N, BS complex-normal rows
+    normalized, then both random global-best positions."""
+    return (rng.random((params.n_ps, n)), _random_unit_rows(rng, params.n_bs, n),
+            rng.random(n), _random_unit_rows(rng, 1, n)[0])
+
+
+def _fitness_map(sc: Scenario) -> tuple[float, float, float]:
+    return sc.gain_budget(), sc.p_max, sc.sigma_b_sq
+
+
+def init_swarms(scenarios, params, k: int) -> TwinSwarms:
+    """Lockstep runs of the trials ``scenarios``, each started from its own
+    ``params`` seed; Bob and the 4k + 1 warden samples are each trial's
+    receivers. The trials must share the geometry, the constants and the
+    swarm sizes and iterations (``run_many`` groups them so)."""
+    sc, p = scenarios[0], params[0]
     geom = sc.geom
+    receivers = np.stack([np.vstack([s.r_b[None, :], s.willie_samples(k)]) for s in scenarios],
+                         axis=1)
+    rngs = [np.random.default_rng(q.seed) for q in params]
+    ps_pos, bs_pos, ps_glo, bs_glo = map(np.stack, zip(*(
+        _start_draws(rng, p, geom.n_wg) for rng in rngs)))
+    # a map entry all trials share stays a scalar, which numpy applies faster
+    fitness_map = tuple(m[0] if len(set(m)) == 1 else np.array(m)[:, None]
+                        for m in zip(*map(_fitness_map, scenarios)))
     wg_y = geom.wg_y_array
-    rng = np.random.default_rng(params.seed)
-    ps_pos = rng.random((params.n_ps, geom.n_wg))
-    bs_pos = _random_unit_rows(rng, params.n_bs, geom.n_wg)
-    ps_glo = rng.random(geom.n_wg)
-    bs_glo = _random_unit_rows(rng, 1, geom.n_wg)[0]
-    return TwinSwarms(Swarm.start(ps_pos, ps_glo, params.iterations),
-                      Swarm.start(bs_pos, bs_glo, params.iterations), rng, sc,
-                      receivers, wg_y, np.arange(geom.m_pa) * geom.pa_spacing,
-                      geom.usable_length, sc.gain_budget(),
-                      ReceiverTerms(receivers, wg_y, geom.height))
+    return TwinSwarms(Swarm.start(ps_pos, ps_glo, p.iterations),
+                      Swarm.start(bs_pos, bs_glo, p.iterations), rngs, sc, receivers,
+                      fitness_map, wg_y, np.arange(geom.m_pa) * geom.pa_spacing,
+                      geom.usable_length, ReceiverTerms(receivers, wg_y, geom.height))
 
 
 def step(swarms: TwinSwarms) -> None:
-    """One full alternating iteration; each swarm's gains go to row
-    ``swarms.steps`` of its ``seen``.
+    """One full alternating iteration of every trial; each swarm's gains go to
+    row ``swarms.steps`` of its ``seen``.
 
-    Random factors are drawn per dimension in a fixed order (PS cognitive, PS
-    social, BS cognitive, BS social), so a seeded run is reproducible. The
-    beamforming half reuses ``swarms.bs_channel`` until ``ps.glo_pos`` moves.
+    Each trial draws its random factors per dimension from its own generator
+    in a fixed order (PS cognitive, PS social, BS cognitive, BS social), so a
+    seeded run is reproducible and does not depend on the other trials. Each
+    half makes one kernel call for all trials; the beamforming half reuses
+    ``swarms.bs_channel`` until some trial's ``ps.glo_pos`` moves.
     """
-    ps, bs, rng, t = swarms.ps, swarms.bs, swarms.rng, swarms.steps
+    ps, bs, rngs, t = swarms.ps, swarms.bs, swarms.rngs, swarms.steps
 
     # position half: weights fixed to the BS global best
-    gains = np.abs(_channels(ps.pos, swarms) @ bs.glo_pos) ** 2
-    if ps.advance(_fitness(gains, swarms, ps.seen[t]), rng):
+    gains = np.abs((_channels(ps.pos, swarms) @ bs.glo_pos[:, None, :, None])[..., 0]) ** 2
+    if ps.advance(_fitness(gains, swarms, ps.seen[t]), rngs):
         swarms.bs_channel = None
     _clip(ps.pos, 0.0, 1.0)
 
     # beamforming half: layout fixed to the PS global best
     if swarms.bs_channel is None:
-        swarms.bs_channel = _channels(ps.glo_pos[None], swarms)[0]
-    gains = np.abs(bs.pos @ swarms.bs_channel.T) ** 2
-    bs.advance(_fitness(gains, swarms, bs.seen[t]), rng)
-    _renormalize_rows(bs.pos, rng)
+        swarms.bs_channel = _channels(ps.glo_pos[:, None], swarms)[:, 0]
+    gains = np.abs(bs.pos @ swarms.bs_channel.transpose(0, 2, 1)) ** 2
+    bs.advance(_fitness(gains, swarms, bs.seen[t]), rngs)
+    _renormalize_rows(bs.pos, rngs)
     swarms.steps = t + 1
 
 
-def solve(sc: Scenario, params: PsoParams, k: int = 1) -> MwmpSolution:
-    """Run the twin-swarm optimizer and evaluate the returned pair.
+# trials stepped together by run_many: the kernel's work arrays of one chunk
+# stay within a few MB, and the per-step numpy dispatch is shared by all of them
+_BATCH = 16
+
+
+def _memo_key(sc: Scenario) -> tuple:
+    return "mwmp", sc.r_b.tobytes(), sc.willie.center.tobytes()
+
+
+def _reference(sc: Scenario, params: PsoParams, k: int) -> dict | None:
+    """The memo's reference run that serves ``sc``, with its trace under the
+    fitness map of ``sc``, or None when a run is needed.
 
     Gamma_w, P_max and sigma_b^2 enter a run only through the fitness map, so
-    ``sc.memo`` keeps one reference run per trial, keyed by Bob and the warden
-    centre: both swarms' ``seen`` gains, the decisions ``_replay`` derives from
-    them, the returned pair and the receivers, for the radius, ``k``,
-    geometry, constants and ``params`` it ran at. When those match and the
-    replay of the recorded gains under this scenario's map takes every
-    decision the reference took, a run would retrace the reference's
-    positions (each step's gains follow from the earlier decisions), so only
-    the final gains, power and rate are computed. Otherwise the swarms run and
-    replace the reference. The answer bits are those of an empty memo, and
-    every array of the result is its own.
+    a reference serves a scenario at the radius, ``k``, geometry, constants
+    and ``params`` it ran at when the replay of its recorded gains under the
+    scenario's map takes every decision the run took: a run would retrace the
+    reference's positions (each step's gains follow from the earlier
+    decisions). It keeps the last map it served and that map's trace, so a
+    lookup under the same map replays nothing.
+    """
+    ref = sc.memo.get(_memo_key(sc))
+    if ref is None or ref["inputs"] != (sc.willie.radius, k, sc.geom, sc.pc, params):
+        return None
+    fitness_map = _fitness_map(sc)
+    if ref["map"] != fitness_map:
+        decisions, trace = _replay_twins(ref["seen"], fitness_map)
+        if not all(map(np.array_equal, ref["decisions"], decisions)):
+            return None
+        ref["map"], ref["trace"] = fitness_map, trace
+    return ref
+
+
+def run_many(scenarios, params, k: int = 1) -> None:
+    """Run TwinPSO in lockstep on every scenario that its trial's reference
+    in ``sc.memo`` cannot serve (see ``_reference``), each with its own
+    ``params``, and store each run as its trial's reference, keyed by Bob and
+    the warden centre: both swarms' ``seen`` gains, the decisions ``_replay``
+    derives from them, the returned pair, the receivers, and the map it ran
+    under with its trace.
+
+    The runs go in chunks of ``_BATCH`` trials that share a geometry,
+    constants and swarm sizes. A trial that appears twice runs once, and its
+    later scenario is looked up again after that run. Each run's bits are
+    those of a lone run.
     """
     _check_rings(k)
-    gamma_w = sc.gain_budget()
-    key = ("mwmp", sc.r_b.tobytes(), sc.willie.center.tobytes())
-    inputs = (sc.willie.radius, k, sc.geom, sc.pc, params)
-    ref = sc.memo.get(key)
-    if ref is not None and ref["inputs"] == inputs:
-        decisions, trace = _replay_twins(ref["seen"], gamma_w, sc)
-        if all(map(np.array_equal, ref["decisions"], decisions)):
-            return _answer(sc, ref, gamma_w, trace)
-    swarms = init_swarms(sc, params, k)
-    for _ in range(params.iterations):
+    todo = list(zip(scenarios, params, strict=True))
+    while todo:
+        groups, later, keys = {}, [], set()
+        for sc, p in todo:
+            key = _memo_key(sc)
+            if key in keys:
+                later.append((sc, p))
+            elif _reference(sc, p, k) is None:
+                keys.add(key)
+                groups.setdefault((sc.geom, sc.pc, p.n_bs, p.n_ps, p.iterations),
+                                  []).append((sc, p))
+        for runs in groups.values():
+            for start in range(0, len(runs), _BATCH):
+                _run(runs[start:start + _BATCH], k)
+        todo = later
+
+
+def _run(runs: list, k: int) -> None:
+    """Step the trials ``runs`` of (scenario, params) together and store each
+    trial's reference, which holds only arrays of its own."""
+    scenarios, params = zip(*runs)
+    swarms = init_swarms(scenarios, params, k)
+    for _ in range(params[0].iterations):
         step(swarms)
-    seen = swarms.ps.seen, swarms.bs.seen
-    decisions, trace = _replay_twins(seen, gamma_w, sc)
-    ref = sc.memo[key] = {
-        "inputs": inputs, "seen": seen, "decisions": decisions,
-        "w_tilde": swarms.bs.glo_pos.copy(), "x_init": swarms.ps.glo_pos * swarms.usable_len,
-        "receivers": swarms.receivers}
-    return _answer(sc, ref, gamma_w, trace)
+    for b, (sc, p) in enumerate(runs):
+        seen = swarms.ps.seen[:, b].copy(), swarms.bs.seen[:, b].copy()
+        fitness_map = _fitness_map(sc)
+        decisions, trace = _replay_twins(seen, fitness_map)
+        sc.memo[_memo_key(sc)] = {
+            "inputs": (sc.willie.radius, k, sc.geom, sc.pc, p), "seen": seen,
+            "decisions": decisions, "map": fitness_map, "trace": trace,
+            "w_tilde": swarms.bs.glo_pos[b].copy(),
+            "x_init": swarms.ps.glo_pos[b] * swarms.usable_len,
+            "receivers": swarms.receivers[:, b].copy()}
 
 
-def _replay_twins(seen: tuple, gamma_w: float, sc: Scenario) -> tuple[tuple, np.ndarray]:
+def solve(sc: Scenario, params: PsoParams, k: int = 1) -> MwmpSolution:
+    """Run the twin-swarm optimizer (``run_many`` on this one scenario) and
+    evaluate the returned pair. The answer bits are those of an empty memo,
+    and every array of the result is its own."""
+    run_many([sc], [params], k)
+    return _answer(sc, _reference(sc, params, k))
+
+
+def _replay_twins(seen: tuple, fitness_map: tuple) -> tuple[tuple, np.ndarray]:
     """Both swarms' decisions (PS improved and moved-to, then BS) on their
-    recorded gains under the fitness map of ``sc``, and the trace."""
+    recorded gains under one fitness map, and the trace."""
     (improved_ps, to_ps, glo_ps), (improved_bs, to_bs, glo_bs) = (
-        _replay(s, gamma_w, sc.p_max, sc.sigma_b_sq) for s in seen)
+        _replay(s, *fitness_map) for s in seen)
     # each global-best score only rises, so the larger one is the best so far
     return (improved_ps, to_ps, improved_bs, to_bs), np.maximum(glo_ps, glo_bs)
 
 
-def _answer(sc: Scenario, ref: dict, gamma_w: float, trace: np.ndarray) -> MwmpSolution:
+def _answer(sc: Scenario, ref: dict) -> MwmpSolution:
     """The covert power and rate of a reference run's pair on ``sc``."""
     w_tilde, x_init = ref["w_tilde"], ref["x_init"]
     layout = PinchLayout(sc.geom, x_init)
     g_max = worst_case_gain(layout, w_tilde, ref["receivers"][1:], sc.pc)
     g_bob = float(beam_gain(layout, w_tilde, sc.r_b[None, :], sc.pc)[0])
-    power, rate = covert_power_rate(g_bob, g_max, gamma_w, sc.p_max, sc.sigma_b_sq)
-    return MwmpSolution(w_tilde.copy(), x_init.copy(), float(power), float(rate), trace)
+    power, rate = covert_power_rate(g_bob, g_max, *_fitness_map(sc))
+    return MwmpSolution(w_tilde.copy(), x_init.copy(), float(power), float(rate),
+                        ref["trace"].copy())

@@ -216,7 +216,7 @@ def _desk_scenario():
 def _desk_oracle(sc):
     """Exhaustive search: 50x50 first-antenna positions times a 32x32 grid of
     per-waveguide phases (equal magnitudes, unit norm)."""
-    swarms = mwmp.init_swarms(sc, mwmp.PsoParams(), 1)
+    swarms = mwmp.init_swarms([sc], [mwmp.PsoParams()], 1)
     g = np.linspace(0.0, 1.0, 50)
     pos = np.array(np.meshgrid(g, g, indexing="ij")).reshape(2, -1).T
     ph = np.linspace(0.0, 2.0 * np.pi, 32, endpoint=False)
@@ -224,12 +224,12 @@ def _desk_oracle(sc):
     weights = np.stack([np.exp(1j * p1.ravel()), np.exp(1j * p2.ravel())],
                        axis=1) / np.sqrt(2.0)
     pa_x = pos[:, :, None] * swarms.usable_len + swarms.pa_offsets[None, None, :]
-    eff = _effective_batch(pa_x, swarms.wg_y, sc.geom.height, swarms.receivers, sc.pc)
+    eff = _effective_batch(pa_x, swarms.wg_y, sc.geom.height, swarms.receivers[:, 0], sc.pc)
     best = -np.inf
     for i in range(0, weights.shape[0], 128):
         amp = np.einsum("krn,wn->krw", eff, weights[i:i + 128])
         gains = np.abs(amp) ** 2
-        rates = covert_power_rate(gains[:, 0, :], gains[:, 1:, :].max(axis=1), swarms.gamma_w,
+        rates = covert_power_rate(gains[:, 0, :], gains[:, 1:, :].max(axis=1), sc.gain_budget(),
                                   sc.p_max, sc.sigma_b_sq)[1]
         best = max(best, float(rates.max()))
     return best

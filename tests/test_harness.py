@@ -557,7 +557,8 @@ MWMP_REAL_RUNS = {
 
 def _solve_recorder(monkeypatch, mwmp):
     """Replace ``mwmp.solve`` and ``mwmp.init_swarms`` by recording wrappers:
-    (scenario, solution) of every solve, and one entry per real run."""
+    (scenario, solution) of every solve, and one entry per real run (each
+    trial of a lockstep batch)."""
     solved, runs = [], []
     solve, init_swarms = mwmp.solve, mwmp.init_swarms
 
@@ -566,7 +567,7 @@ def _solve_recorder(monkeypatch, mwmp):
         return solved[-1][1]
 
     monkeypatch.setattr(mwmp, "solve", recording)
-    monkeypatch.setattr(mwmp, "init_swarms", lambda *args: runs.append(1) or init_swarms(*args))
+    monkeypatch.setattr(mwmp, "init_swarms", lambda *a: runs.extend(a[0]) or init_swarms(*a))
     return solved, runs
 
 
@@ -596,6 +597,24 @@ def test_mwmp_replayed_records_equal_fresh_runs(monkeypatch, shape, sweep):
     assert len(runs) == MWMP_REAL_RUNS[shape, sweep]
 
 
+def test_mwmp_sweep_steps_each_values_trials_together(monkeypatch):
+    # a radius value moves the warden samples, so every trial runs at every
+    # value; the value's runs step in lockstep, so the position half makes
+    # one kernel call per iteration on all trials' layouts, not one per trial
+    from passcovert import mwmp
+
+    cfg = _small_config(trials=2, pso_iterations=7, pso_pop_ps=9)
+    values = [0.25, 0.5, 1.0]
+    layouts = []
+    kernel = mwmp._effective_batch
+    monkeypatch.setattr(mwmp, "_effective_batch",
+                        lambda pa_x, *a: layouts.append(pa_x.shape[:-2]) or kernel(pa_x, *a))
+    records = run_sweep(cfg, "uncertainty_radius", values, ("mwmp",))
+    assert len(records) == cfg.trials * len(values)
+    position_half = [shape for shape in layouts if shape != (cfg.trials, 1)]
+    assert position_half == [(cfg.trials, cfg.pso_pop_ps)] * (cfg.pso_iterations * len(values))
+
+
 @pytest.mark.parametrize("sweep", ["target_error_rate", "power_up", "power_down"])
 def test_mwmp_records_survive_overwritten_answers(monkeypatch, sweep):
     # a caller that writes into every returned w_tilde, x_init and trace
@@ -619,7 +638,7 @@ def test_mwmp_records_survive_overwritten_answers(monkeypatch, sweep):
             return sol
 
         monkeypatch.setattr(mwmp, "solve", wrapped)
-        monkeypatch.setattr(mwmp, "init_swarms", lambda *a: runs.append(1) or init_swarms(*a))
+        monkeypatch.setattr(mwmp, "init_swarms", lambda *a: runs.extend(a[0]) or init_swarms(*a))
         return run_sweep(cfg, variable, values, ("mwmp",)), answers, len(runs)
 
     records, answers, runs = run(overwrite=False)

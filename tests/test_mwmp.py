@@ -30,9 +30,9 @@ def _optimal_power(layout, w_tilde, samples, gamma_w, p_max, pc):
 
 def _fitness(pos, w, sc):
     """Swarm fitness of one (normalized position, unit weight) pair at k = 1."""
-    swarms = init_swarms(sc, PsoParams(), 1)
-    gains = np.abs(mwmp._channels(pos[None], swarms) @ w) ** 2
-    return float(mwmp._fitness(gains, swarms)[0])
+    swarms = init_swarms([sc], [PsoParams()], 1)
+    gains = np.abs(mwmp._channels(pos[None, None], swarms) @ w) ** 2
+    return float(mwmp._fitness(gains, swarms)[0, 0])
 
 
 def test_clamp_ps():
@@ -43,9 +43,9 @@ def test_clamp_ps():
 
 def test_normalize_bs(rng):
     def normalized(v):
-        rows = np.array(v, dtype=complex).reshape(1, -1)
-        mwmp._renormalize_rows(rows, rng)
-        return rows[0]
+        rows = np.array(v, dtype=complex).reshape(1, 1, -1)
+        mwmp._renormalize_rows(rows, [rng])
+        return rows[0, 0]
 
     v = np.array([3.0 + 4.0j, 0.0])
     out = normalized(v)
@@ -116,12 +116,12 @@ def test_fitness_degenerate_matches_swsp():
 
 def test_step_stationary_when_converged():
     sc = _scenario()
-    swarms = init_swarms(sc, PsoParams(n_bs=4, n_ps=4, seed=3), 1)
+    swarms = init_swarms([sc], [PsoParams(n_bs=4, n_ps=4, seed=3)], 1)
     # collapse both swarms onto their global bests with zero velocity
-    swarms.ps.pos[:] = swarms.ps.glo_pos
-    swarms.ps.bests[0] = swarms.ps.glo_pos
-    swarms.bs.pos[:] = swarms.bs.glo_pos
-    swarms.bs.bests[0] = swarms.bs.glo_pos
+    swarms.ps.pos[:] = swarms.ps.glo_pos[:, None]
+    swarms.ps.bests[:, 0] = swarms.ps.glo_pos[:, None]
+    swarms.bs.pos[:] = swarms.bs.glo_pos[:, None]
+    swarms.bs.bests[:, 0] = swarms.bs.glo_pos[:, None]
     before_ps = swarms.ps.pos.copy()
     before_bs = swarms.bs.pos.copy()
     step(swarms)
@@ -132,11 +132,11 @@ def test_step_stationary_when_converged():
 
 def test_step_preserves_constraints_and_caps():
     sc = _scenario(n=3)
-    swarms = init_swarms(sc, PsoParams(seed=11), 1)
+    swarms = init_swarms([sc], [PsoParams(seed=11)], 1)
     for _ in range(25):
         step(swarms)
         assert np.all(swarms.ps.pos >= 0.0) and np.all(swarms.ps.pos <= 1.0)
-        np.testing.assert_allclose(np.linalg.norm(swarms.bs.pos, axis=1), 1.0,
+        np.testing.assert_allclose(np.linalg.norm(swarms.bs.pos, axis=-1), 1.0,
                                    atol=1e-12)
         assert np.all(np.abs(swarms.ps.vel) <= mwmp._V_MAX + 1e-15)
         assert np.all(np.abs(swarms.bs.vel.real) <= mwmp._V_MAX + 1e-15)
@@ -189,15 +189,17 @@ def test_sample_cross_feeds_power_control():
 
 
 def test_cached_beamforming_channel_tracks_position_global_best():
-    sc = _scenario(n=3, m=3)
-    swarms = init_swarms(sc, PsoParams(seed=17), 1)
+    # each trial's row of the stacked channel is its own layout's unstacked channel
+    scenarios = [_scenario(n=3, m=3), _scenario(n=3, m=3, bob=(4.0, -2.0))]
+    swarms = init_swarms(scenarios, [PsoParams(seed=17), PsoParams(seed=18)], 1)
     for _ in range(25):
         step(swarms)
-        pa_x = (swarms.ps.glo_pos[None, :, None] * swarms.usable_len
-                + swarms.pa_offsets[None, None, :])
-        fresh = mwmp._effective_batch(pa_x, swarms.wg_y, sc.geom.height, swarms.receivers,
-                                      sc.pc)[0]
-        np.testing.assert_array_equal(swarms.bs_channel, fresh)
+        for b, sc in enumerate(scenarios):
+            pa_x = (swarms.ps.glo_pos[b, None, :, None] * swarms.usable_len
+                    + swarms.pa_offsets[None, None, :])
+            fresh = mwmp._effective_batch(pa_x, swarms.wg_y, sc.geom.height,
+                                          swarms.receivers[:, b], sc.pc)[0]
+            np.testing.assert_array_equal(swarms.bs_channel[b], fresh)
 
 
 def test_solve_recomputes_channel_only_when_layout_best_moves(monkeypatch):
@@ -232,16 +234,16 @@ def test_solve_reads_trace_and_answer_off_the_stepped_swarms():
     # a non-default shape: N = 3, M = 4, k = 2, swarms of 20 and 25
     sc, k = _scenario(n=3, m=4), 2
     params = PsoParams(n_bs=20, n_ps=25, iterations=30, seed=8)
-    swarms = init_swarms(sc, params, k)
+    swarms = init_swarms([sc], [params], k)
     # the trace _replay derives from the recorded gains is the live global best
     running = []
     for _ in range(params.iterations):
         step(swarms)
-        running.append(max(swarms.ps.glo_score, swarms.bs.glo_score))
+        running.append(max(swarms.ps.glo_score[0], swarms.bs.glo_score[0]))
     sol = solve(sc, params, k)
     assert sol.trace.tobytes() == np.array(running).tobytes()
-    assert sol.x_init.tobytes() == (swarms.ps.glo_pos * swarms.usable_len).tobytes()
-    assert sol.w_tilde.tobytes() == swarms.bs.glo_pos.tobytes()
+    assert sol.x_init.tobytes() == (swarms.ps.glo_pos[0] * swarms.usable_len).tobytes()
+    assert sol.w_tilde.tobytes() == swarms.bs.glo_pos[0].tobytes()
 
 
 # config keys whose change leaves the swarm's inputs alone and moves only the
@@ -259,7 +261,8 @@ _RUN_KEYS = {"bob_x_m": 14.0, "willie_y_m": -7.5, "delta_r_m": 1.5, "height_m": 
 
 def test_memo_replays_only_for_the_same_swarm_inputs(monkeypatch):
     # a lookup counts only for the same Bob, warden centre, radius, k, geometry,
-    # constants and PSO parameters; any other change only attempts a replay
+    # constants and PSO parameters; any other change only attempts a replay,
+    # and the fitness map the reference last served needs none
     base = {"num_waveguides": 2, "pas_per_waveguide": 1, "pa_spacing_m": 0.0054,
             "bob_x_m": 15.0, "bob_y_m": 4.0, "willie_x_m": 5.0, "willie_y_m": -8.0}
     params = PsoParams(n_bs=6, n_ps=5, iterations=12, seed=3)
@@ -274,10 +277,11 @@ def test_memo_replays_only_for_the_same_swarm_inputs(monkeypatch):
         moved = dataclasses.replace(moved_sc, memo=sc.memo)
         events.clear()
         sol = solve(moved, moved_params, k)
+        taken = events[:2]
         alone = solve(dataclasses.replace(moved_sc, memo={}), moved_params, k)
         assert (sol.rate, sol.power, sol.trace.tobytes()) == (
             alone.rate, alone.power, alone.trace.tobytes())
-        return events[:2]
+        return taken
 
     def scenario(**over):
         return config_from_dict({**base, **over}).scenario("mwmp")
@@ -295,7 +299,7 @@ def test_memo_replays_only_for_the_same_swarm_inputs(monkeypatch):
         moved_params = dataclasses.replace(params, **{name: getattr(params, name) + 1})
         assert after_reference(scenario(), scenario(), moved_params) == ["run", "replay"], name
     assert after_reference(scenario(), scenario(), k=2) == ["run", "replay"]
-    assert after_reference(scenario(), scenario()) == ["replay"] * 2
+    assert after_reference(scenario(), scenario()) == []
     # the key is read at lookup time: Bob moved in place is a new trial
     sc = scenario()
     solve(sc, params)
@@ -315,3 +319,62 @@ def test_warm_memo_still_rejects_non_integer_ring_counts(k):
     with pytest.raises(ValueError, match="k, the number of sampling rings, must be an "
                                          "integer >= 1"):
         solve(sc, params, k)
+
+
+def test_run_many_equals_lone_runs_bit_for_bit(monkeypatch):
+    # more runs than one chunk, scenarios that a reference serves by replay
+    # (Bob's noise only rescales every score, so no decision moves), one
+    # scenario passed twice and one of another geometry: every answer, and
+    # every stored run, is that of a lone run on an empty memo
+    n = mwmp._BATCH + 3
+    memo = {}
+    base = [dataclasses.replace(_scenario(n=3, m=2, bob=(1.0 + i, 3.0 - 0.4 * i)), memo=memo)
+            for i in range(n)]
+    other = dataclasses.replace(_scenario(n=2, m=1, bob=(2.5, 6.0)), memo=memo)
+    params = {id(sc): PsoParams(n_bs=5, n_ps=4, iterations=6, seed=i)
+              for i, sc in enumerate(base + [other])}
+    for sc in base[:2]:  # these trials already hold a reference
+        solve(sc, params[id(sc)])
+    noisier = [dataclasses.replace(base[i], sigma_b_sq=2.0 * base[i].sigma_b_sq) for i in (0, 2)]
+    for sc, trial in zip(noisier, (0, 2)):
+        params[id(sc)] = params[id(base[trial])]
+    batch = base + noisier + [base[3], other]
+    sizes = []
+    start = mwmp.init_swarms
+    monkeypatch.setattr(mwmp, "init_swarms", lambda *a: sizes.append(len(a[0])) or start(*a))
+    mwmp.run_many(batch, [params[id(sc)] for sc in batch], 1)
+    # trials 2 .. n-1 run in two chunks, the other geometry on its own
+    assert sorted(sizes) == [1, 1, mwmp._BATCH]
+    sizes.clear()
+    for sc in batch:
+        p = params[id(sc)]
+        sol = solve(sc, p)
+        lone = {}
+        alone = solve(dataclasses.replace(sc, memo=lone), p)
+        assert (sol.rate, sol.power) == (alone.rate, alone.power)
+        for name in ("trace", "x_init", "w_tilde"):
+            assert getattr(sol, name).tobytes() == getattr(alone, name).tobytes(), name
+        key = mwmp._memo_key(sc)
+        for got, want in zip(memo[key]["seen"], lone[key]["seen"]):
+            assert got.tobytes() == want.tobytes()
+        assert all(a.base is None for a in memo[key]["seen"])
+    assert sizes == [1] * len(batch)  # the lone runs only: every answer came from the memo
+
+
+def test_stacked_renormalization_redraws_from_its_own_trials_generator():
+    # a zero BS row in trial 1 is redrawn from trial 1's generator as in a lone
+    # run of that trial; trial 0's generator does not move
+    pos = mwmp._random_unit_rows(np.random.default_rng(0), 6, 3).reshape(2, 3, 3)
+    pos[1, 2] = 0.0
+    lone = [pos[b:b + 1].copy() for b in range(2)]
+    rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+    lone_rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+    untouched = rngs[0].bit_generator.state
+    mwmp._renormalize_rows(pos, rngs)
+    for b in range(2):
+        mwmp._renormalize_rows(lone[b], [lone_rngs[b]])
+        assert pos[b].tobytes() == lone[b][0].tobytes()
+        assert rngs[b].bit_generator.state == lone_rngs[b].bit_generator.state
+    assert rngs[0].bit_generator.state == untouched
+    assert rngs[1].bit_generator.state != np.random.default_rng(2).bit_generator.state
+    np.testing.assert_allclose(np.linalg.norm(pos, axis=-1), 1.0, atol=1e-12)

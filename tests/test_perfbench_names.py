@@ -106,3 +106,29 @@ def test_channel_cache_leaves_the_bound_calls_alone():
         assert ((alone.rate, alone.power) == (cached.rate, cached.power)
                 == (rec.covert_rate, rec.p_opt))
         assert np.array_equal(alone.w_tilde, cached.w_tilde)
+
+
+def test_exp_count_of_a_stacked_kernel_call(monkeypatch):
+    # a stacked call pairs each trial's layouts with its own receivers,
+    # stacked receivers-first, so the benchmark's count of its exponentials,
+    # pa_x.size times receivers.shape[0], is K * B * J * N * M
+    layers = importlib.import_module("layers")
+    config = config_from_dict({"trials": 2, "pso_iterations": 3, "pso_pop_ps": 7,
+                               "pso_pop_bs": 5, "willie_samples_k": 2})
+    scenarios = harness.sample_scenarios(config)
+    calls = []
+    kernel = mwmp._effective_batch
+    monkeypatch.setattr(mwmp, "_effective_batch",
+                        lambda *args: calls.append(args) or kernel(*args))
+    mwmp.run_many(scenarios, [config.pso_params(seed) for seed in (1, 2)],
+                  config.willie_samples_k)
+    geom = scenarios[0].geom
+    k = 4 * config.willie_samples_k + 2  # Bob and the warden samples
+    layouts = []
+    for args in calls:
+        pa_x, receivers = args[0], args[3]
+        b, j = pa_x.shape[:2]
+        assert receivers.shape == (k, b, 3) and b == len(scenarios)
+        assert layers._batch_exps(args, {}) == (k * b * j * geom.n_wg * geom.m_pa, 0)
+        layouts.append(j)
+    assert layouts.count(config.pso_pop_ps) == config.pso_iterations and set(layouts) == {7, 1}
