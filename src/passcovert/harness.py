@@ -132,14 +132,15 @@ def run_sweep(config: ExperimentConfig, variable: str, values,
     # value fails before any work; swsp takes them on the single waveguide
     swept = [[_apply_sweep_value(base, variable, value) for base in scenarios]
              for value in values]
+    if "mwmp" in schemes:  # the sweep's runs step together; each record is answered below
+        mwmp.run_many([sc for trials in swept for sc in trials],
+                      [config.pso_params(seed) for _ in values for seed in seeds],
+                      config.willie_samples_k)
     records = []
     for value, trials in zip(values, swept):
         for scheme in schemes:
             instances = ([dataclasses.replace(sc, geom=swsp_geom) for sc in trials]
                          if scheme == "swsp" else trials)
-            if scheme == "mwmp":  # the value's runs step together; each record is answered below
-                mwmp.run_many(instances, [config.pso_params(seed) for seed in seeds],
-                              config.willie_samples_k)
             for trial, (sc, seed) in enumerate(zip(instances, seeds)):
                 rate, power, _ = solve_scheme(scheme, sc, config, seed)
                 records.append(SweepRecord(scheme, variable, value, trial, rate, power, seed))
@@ -171,8 +172,11 @@ def run_convergence(config: ExperimentConfig, case: str) -> list[SweepRecord]:
         if config.converge_inits < 1:
             raise ValueError(f"converge_inits must be at least 1, got {config.converge_inits}")
         sc = config.scenario("mwmp")
-        traces = [solve_scheme("mwmp", sc, config, trial_seed(config.seed, i))[2].trace
-                  for i in range(config.converge_inits)]
+        seeds = [trial_seed(config.seed, i) for i in range(config.converge_inits)]
+        # the inits step together; each is answered below
+        mwmp.run_many([sc] * len(seeds), [config.pso_params(seed) for seed in seeds],
+                      config.willie_samples_k)
+        traces = [solve_scheme("mwmp", sc, config, seed)[2].trace for seed in seeds]
         mean = np.mean(np.stack(traces), axis=0)
         return [SweepRecord("mwmp", "iteration", float(t + 1), -1, float(mean[t]),
                             0.0, config.seed)

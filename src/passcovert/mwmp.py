@@ -268,95 +268,103 @@ def step(swarms: TwinSwarms) -> None:
     swarms.steps = t + 1
 
 
-# trials stepped together by run_many: the kernel's work arrays of one chunk
-# stay within a few MB, and the per-step numpy dispatch is shared by all of them
-_BATCH = 16
+# trials stepped together by run_many: a run's cost stops falling at about 5
+# stacked runs, and a larger chunk only adds the memory of its work arrays
+_BATCH = 8
 
 
 def _memo_key(sc: Scenario) -> tuple:
+    """The key of a trial's reference run: Bob and the warden centre."""
     return "mwmp", sc.r_b.tobytes(), sc.willie.center.tobytes()
 
 
-def _reference(sc: Scenario, params: PsoParams, k: int) -> dict | None:
-    """The memo's reference run that serves ``sc``, with its trace under the
-    fitness map of ``sc``, or None when a run is needed.
+def _answer_key(sc: Scenario, params: PsoParams, k: int) -> tuple:
+    """Everything the answer to ``sc`` depends on: the run inputs (the trial,
+    the radius, ``k``, geometry, constants and ``params``), then the fitness
+    map, which enters a run only through the decisions it takes."""
+    return _memo_key(sc) + (sc.willie.radius, k, sc.geom, sc.pc, params, _fitness_map(sc))
 
-    Gamma_w, P_max and sigma_b^2 enter a run only through the fitness map, so
-    a reference serves a scenario at the radius, ``k``, geometry, constants
-    and ``params`` it ran at when the replay of its recorded gains under the
-    scenario's map takes every decision the run took: a run would retrace the
-    reference's positions (each step's gains follow from the earlier
-    decisions). It keeps the last map it served and that map's trace, so a
-    lookup under the same map replays nothing.
-    """
+
+def _replayed(sc: Scenario, key: tuple) -> bool:
+    """Store the answer to ``sc`` under ``key`` from its trial's reference run
+    in ``sc.memo``, if that run had the same run inputs and the replay of its
+    recorded gains under the fitness map of ``sc`` takes every decision it
+    took: a run would retrace the reference's positions (each step's gains
+    follow from the earlier decisions)."""
     ref = sc.memo.get(_memo_key(sc))
-    if ref is None or ref["inputs"] != (sc.willie.radius, k, sc.geom, sc.pc, params):
-        return None
-    fitness_map = _fitness_map(sc)
-    if ref["map"] != fitness_map:
-        decisions, trace = _replay_twins(ref["seen"], fitness_map)
-        if not all(map(np.array_equal, ref["decisions"], decisions)):
-            return None
-        ref["map"], ref["trace"] = fitness_map, trace
-    return ref
+    if ref is None or ref["inputs"] != key[:-1]:
+        return False
+    decisions, trace = _replay_twins(ref["seen"], key[-1])
+    if not all(map(np.array_equal, ref["decisions"], decisions)):
+        return False
+    sc.memo[key] = _answer(sc, ref, trace)
+    return True
 
 
 def run_many(scenarios, params, k: int = 1) -> None:
-    """Run TwinPSO in lockstep on every scenario that its trial's reference
-    in ``sc.memo`` cannot serve (see ``_reference``), each with its own
-    ``params``, and store each run as its trial's reference, keyed by Bob and
-    the warden centre: both swarms' ``seen`` gains, the decisions ``_replay``
-    derives from them, the returned pair, the receivers, and the map it ran
-    under with its trace.
+    """Leave in ``sc.memo`` the answer to every scenario ``sc`` of
+    ``scenarios``, each with its own ``params``, keyed by ``_answer_key``.
 
-    The runs go in chunks of ``_BATCH`` trials that share a geometry,
-    constants and swarm sizes. A trial that appears twice runs once, and its
-    later scenario is looked up again after that run. Each run's bits are
-    those of a lone run.
+    An answer comes from a replay of its trial's reference run (see
+    ``_replayed``) or from a real TwinPSO run. The runs of a round step in
+    lockstep, in even chunks of at most ``_BATCH`` runs that share a geometry,
+    constants and swarm sizes. A scenario waits for a later round only while
+    another one with the same run inputs runs in this round, so it is then
+    answered or replayed from that run. Each run is stored as its trial's
+    reference, keyed by Bob and the warden centre (the last run wins): both
+    swarms' ``seen`` gains, the decisions ``_replay`` derives from them, the
+    returned pair and the receivers. Each run's bits are those of a lone run.
     """
     _check_rings(k)
     todo = list(zip(scenarios, params, strict=True))
     while todo:
-        groups, later, keys = {}, [], set()
+        groups, later, running = {}, [], set()
         for sc, p in todo:
-            key = _memo_key(sc)
-            if key in keys:
+            key = _answer_key(sc, p, k)
+            if key in sc.memo:
+                continue
+            if key[:-1] in running:
                 later.append((sc, p))
-            elif _reference(sc, p, k) is None:
-                keys.add(key)
+            elif not _replayed(sc, key):
+                running.add(key[:-1])
                 groups.setdefault((sc.geom, sc.pc, p.n_bs, p.n_ps, p.iterations),
                                   []).append((sc, p))
         for runs in groups.values():
-            for start in range(0, len(runs), _BATCH):
-                _run(runs[start:start + _BATCH], k)
+            for sc, _ in runs:  # a run replaces its trial's reference: free the old one
+                sc.memo.pop(_memo_key(sc), None)
+            count = -(-len(runs) // _BATCH)
+            for c in range(count):
+                _run(runs[c * len(runs) // count:(c + 1) * len(runs) // count], k)
         todo = later
 
 
 def _run(runs: list, k: int) -> None:
-    """Step the trials ``runs`` of (scenario, params) together and store each
-    trial's reference, which holds only arrays of its own."""
+    """Step the trials ``runs`` of (scenario, params) together; store each
+    trial's reference, which holds only arrays of its own, and its answer."""
     scenarios, params = zip(*runs)
     swarms = init_swarms(scenarios, params, k)
     for _ in range(params[0].iterations):
         step(swarms)
     for b, (sc, p) in enumerate(runs):
+        key = _answer_key(sc, p, k)
         seen = swarms.ps.seen[:, b].copy(), swarms.bs.seen[:, b].copy()
-        fitness_map = _fitness_map(sc)
-        decisions, trace = _replay_twins(seen, fitness_map)
-        sc.memo[_memo_key(sc)] = {
-            "inputs": (sc.willie.radius, k, sc.geom, sc.pc, p), "seen": seen,
-            "decisions": decisions, "map": fitness_map, "trace": trace,
+        decisions, trace = _replay_twins(seen, key[-1])
+        ref = sc.memo[_memo_key(sc)] = {
+            "inputs": key[:-1], "seen": seen, "decisions": decisions,
             "w_tilde": swarms.bs.glo_pos[b].copy(),
             "x_init": swarms.ps.glo_pos[b] * swarms.usable_len,
             "receivers": swarms.receivers[:, b].copy()}
+        sc.memo[key] = _answer(sc, ref, trace)
 
 
 def solve(sc: Scenario, params: PsoParams, k: int = 1) -> MwmpSolution:
     """Run the twin-swarm optimizer (``run_many`` on this one scenario) and
-    evaluate the returned pair. The answer bits are those of an empty memo,
-    and every array of the result is its own."""
+    return a copy of the answer it stored. The answer bits are those of an
+    empty memo, and every array of the result is its own."""
     run_many([sc], [params], k)
-    return _answer(sc, _reference(sc, params, k))
+    ans = sc.memo[_answer_key(sc, params, k)]
+    return MwmpSolution(ans.w_tilde.copy(), ans.x_init.copy(), ans.power, ans.rate,
+                        ans.trace.copy())
 
 
 def _replay_twins(seen: tuple, fitness_map: tuple) -> tuple[tuple, np.ndarray]:
@@ -368,12 +376,11 @@ def _replay_twins(seen: tuple, fitness_map: tuple) -> tuple[tuple, np.ndarray]:
     return (improved_ps, to_ps, improved_bs, to_bs), np.maximum(glo_ps, glo_bs)
 
 
-def _answer(sc: Scenario, ref: dict) -> MwmpSolution:
+def _answer(sc: Scenario, ref: dict, trace: np.ndarray) -> MwmpSolution:
     """The covert power and rate of a reference run's pair on ``sc``."""
     w_tilde, x_init = ref["w_tilde"], ref["x_init"]
     layout = PinchLayout(sc.geom, x_init)
     g_max = worst_case_gain(layout, w_tilde, ref["receivers"][1:], sc.pc)
     g_bob = float(beam_gain(layout, w_tilde, sc.r_b[None, :], sc.pc)[0])
     power, rate = covert_power_rate(g_bob, g_max, *_fitness_map(sc))
-    return MwmpSolution(w_tilde.copy(), x_init.copy(), float(power), float(rate),
-                        ref["trace"].copy())
+    return MwmpSolution(w_tilde, x_init, float(power), float(rate), trace)

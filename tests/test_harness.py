@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -403,7 +404,8 @@ def test_emitted_rows_revalidate_post_hoc(tmp_path):
 
 
 def _memo_arrays(memo: dict):
-    """Every array held anywhere in a scenario memo's entries."""
+    """Every array held anywhere in a scenario memo's entries, stored
+    solutions' fields included."""
     stack = list(memo.values())
     while stack:
         item = stack.pop()
@@ -413,6 +415,8 @@ def _memo_arrays(memo: dict):
             stack.extend(item.values())
         elif isinstance(item, (tuple, list)):
             stack.extend(item)
+        elif dataclasses.is_dataclass(item):
+            stack.extend(vars(item).values())
 
 
 REFERENCE_SWEEPS = [("target_error_rate", [0.85, 0.9, 0.95]),
@@ -591,7 +595,8 @@ def test_mwmp_replayed_records_equal_fresh_runs(monkeypatch, shape, sweep):
         for name in ("trace", "x_init", "w_tilde"):
             assert getattr(sol, name).tobytes() == getattr(alone, name).tobytes(), name
         kept = list(_memo_arrays(sc.memo))
-        assert len(sc.memo) == cfg.trials and kept
+        # one reference per trial and one answer per record
+        assert len(sc.memo) == cfg.trials + len(records) and kept
         assert not any(np.shares_memory(getattr(sol, name), a)
                        for name in ("trace", "x_init", "w_tilde") for a in kept)
     assert len(runs) == MWMP_REAL_RUNS[shape, sweep]
@@ -599,20 +604,59 @@ def test_mwmp_replayed_records_equal_fresh_runs(monkeypatch, shape, sweep):
 
 def test_mwmp_sweep_steps_each_values_trials_together(monkeypatch):
     # a radius value moves the warden samples, so every trial runs at every
-    # value; the value's runs step in lockstep, so the position half makes
-    # one kernel call per iteration on all trials' layouts, not one per trial
+    # value; the sweep's runs step in lockstep across values, so the position
+    # half makes one kernel call per iteration on all runs' layouts
     from passcovert import mwmp
 
     cfg = _small_config(trials=2, pso_iterations=7, pso_pop_ps=9)
     values = [0.25, 0.5, 1.0]
+    runs = cfg.trials * len(values)
     layouts = []
     kernel = mwmp._effective_batch
     monkeypatch.setattr(mwmp, "_effective_batch",
                         lambda pa_x, *a: layouts.append(pa_x.shape[:-2]) or kernel(pa_x, *a))
     records = run_sweep(cfg, "uncertainty_radius", values, ("mwmp",))
-    assert len(records) == cfg.trials * len(values)
-    position_half = [shape for shape in layouts if shape != (cfg.trials, 1)]
-    assert position_half == [(cfg.trials, cfg.pso_pop_ps)] * (cfg.pso_iterations * len(values))
+    assert len(records) == runs
+    position_half = [shape for shape in layouts if shape != (runs, 1)]
+    assert position_half == [(runs, cfg.pso_pop_ps)] * cfg.pso_iterations
+
+
+@pytest.mark.parametrize("sweep", MWMP_SWEEPS)
+def test_mwmp_records_are_answered_without_a_run(monkeypatch, sweep):
+    # run_sweep steps every run before its first record, so each record's
+    # solve only copies the answer stored for it
+    from passcovert import mwmp
+
+    variable, values = MWMP_SWEEPS[sweep]
+    events = []
+    solve, init_swarms = mwmp.solve, mwmp.init_swarms
+    monkeypatch.setattr(mwmp, "solve", lambda *a, **kw: events.append("solve") or solve(*a, **kw))
+    monkeypatch.setattr(mwmp, "init_swarms", lambda *a: events.append("run") or init_swarms(*a))
+    records = run_sweep(_small_config(trials=3), variable, values, ("mwmp",))
+    first = events.index("solve")
+    assert "run" in events[:first] and "run" not in events[first:]
+    assert events.count("solve") == len(records)
+
+
+def test_mwmp_radius_sweep_memory_stays_bounded(monkeypatch):
+    # the 10 runs of a 2-trial, 5-value radius sweep step as two chunks of 5,
+    # and tracemalloc's peak over the whole sweep stays under 2 MB (about
+    # 1.5 MB; one unsplit chunk of 10 reads about 2.5 MB)
+    from passcovert import mwmp
+
+    cfg = dataclasses.replace(ExperimentConfig(), trials=2, seed=5)
+    values = [0.1, 0.575, 1.05, 1.525, 2.0]
+    sizes = []
+    init_swarms = mwmp.init_swarms
+    monkeypatch.setattr(mwmp, "init_swarms", lambda *a: sizes.append(len(a[0])) or init_swarms(*a))
+    tracemalloc.start()
+    try:
+        records = run_sweep(cfg, "uncertainty_radius", values, ("mwmp",))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 10 and sizes == [5, 5]
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("sweep", ["target_error_rate", "power_up", "power_down"])

@@ -309,6 +309,56 @@ def test_memo_replays_only_for_the_same_swarm_inputs(monkeypatch):
     assert events[:2] == ["run", "replay"]
 
 
+def test_stored_answer_serves_only_its_own_inputs():
+    # an answer is stored under everything it depends on: a scenario with
+    # another fitness map, radius, k, PSO parameters, geometry or constants
+    # on the same memo gets its own answer, never the one stored before it
+    base = {"num_waveguides": 2, "pas_per_waveguide": 1, "pa_spacing_m": 0.0054,
+            "bob_x_m": 15.0, "bob_y_m": 4.0, "willie_x_m": 5.0, "willie_y_m": -8.0}
+    params = PsoParams(n_bs=6, n_ps=5, iterations=12, seed=3)
+
+    def scenario(**over):
+        return config_from_dict({**base, **over}).scenario("mwmp")
+
+    def poisoned():
+        """A solved scenario whose stored answer reads rate -1."""
+        sc = scenario()
+        solve(sc, params)
+        (key,) = [key for key, v in sc.memo.items() if isinstance(v, mwmp.MwmpSolution)]
+        sc.memo[key] = dataclasses.replace(sc.memo[key], rate=-1.0)
+        return sc
+
+    assert solve(poisoned(), params).rate == -1.0  # a lookup does read the stored answer
+    sc = scenario()
+    others = [(scenario(**{key: value}), params, 1)
+              for key, value in {**_FITNESS_MAP_KEYS, **_RUN_KEYS}.items()]
+    others += [(dataclasses.replace(sc, pc=dataclasses.replace(
+        sc.pc, **{name: getattr(sc.pc, name) * 1.01})), params, 1)
+        for name in ("wavelength", "k_c", "k_g", "eta")]
+    others += [(sc, dataclasses.replace(params, **{name: getattr(params, name) + 1}), 1)
+               for name in ("n_bs", "n_ps", "iterations", "seed")]
+    others.append((sc, params, 2))
+    for other, p, k in others:
+        sol = solve(dataclasses.replace(other, memo=poisoned().memo), p, k)
+        alone = solve(dataclasses.replace(other, memo={}), p, k)
+        assert (sol.rate, sol.power, sol.trace.tobytes()) == (
+            alone.rate, alone.power, alone.trace.tobytes())
+
+
+@pytest.mark.parametrize("n", [1, mwmp._BATCH, mwmp._BATCH + 1, 30])
+def test_run_many_splits_runs_into_even_chunks(monkeypatch, n):
+    # n runs of one shape step in the fewest chunks of at most _BATCH runs,
+    # whose sizes differ by at most one
+    scenarios = [_scenario(bob=(1.0 + 0.5 * i, 3.0)) for i in range(n)]
+    sizes = []
+    start = mwmp.init_swarms
+    monkeypatch.setattr(mwmp, "init_swarms", lambda *a: sizes.append(len(a[0])) or start(*a))
+    mwmp.run_many(scenarios, [PsoParams(n_bs=3, n_ps=3, iterations=2, seed=i)
+                              for i in range(n)], 1)
+    assert len(sizes) == -(-n // mwmp._BATCH) and sum(sizes) == n
+    assert max(sizes) <= mwmp._BATCH and max(sizes) - min(sizes) <= 1
+
+
 @pytest.mark.parametrize("k", [True, 2.0], ids=["bool", "float"])
 def test_warm_memo_still_rejects_non_integer_ring_counts(k):
     # True == 1 and 2.0 == 2, so a reference run at k = 1 or 2 would match
@@ -343,8 +393,8 @@ def test_run_many_equals_lone_runs_bit_for_bit(monkeypatch):
     start = mwmp.init_swarms
     monkeypatch.setattr(mwmp, "init_swarms", lambda *a: sizes.append(len(a[0])) or start(*a))
     mwmp.run_many(batch, [params[id(sc)] for sc in batch], 1)
-    # trials 2 .. n-1 run in two chunks, the other geometry on its own
-    assert sorted(sizes) == [1, 1, mwmp._BATCH]
+    # trials 2 .. n-1 run in two even chunks, the other geometry on its own
+    assert sorted(sizes) == [1, (n - 2) // 2, (n - 1) // 2]
     sizes.clear()
     for sc in batch:
         p = params[id(sc)]
