@@ -25,7 +25,7 @@ class Scenario:
     p_max: float  # W
     geom: PassGeometry
     pc: PhysConstants
-    # results that later scenarios of a sweep reuse; see benchmarks.evaluate, mwmp.solve
+    # results that later scenarios of a sweep reuse; see benchmarks.evaluate, mwmp.run_many
     memo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
