@@ -9,6 +9,7 @@ other swarm's global best.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,15 +65,13 @@ def _channels(ps_pos: np.ndarray, swarms: TwinSwarms) -> np.ndarray:
                             swarms.sc.pc, swarms.terms)
 
 
-def _fitness(gains: np.ndarray, swarms: TwinSwarms, seen: np.ndarray | None = None
-             ) -> np.ndarray:
+def _fitness(gains: np.ndarray, swarms: TwinSwarms, seen: np.ndarray) -> np.ndarray:
     """Covert rate (B, J) of each trial's rows of receiver gains (B, J, 1 + S),
     Bob's gain first, under that trial's fitness map.
 
-    The rate is taken from ``seen`` (B, 2, J): each row's gain at Bob, then its
-    worst warden gain, written there when given (one row of ``Swarm.seen``).
+    The rate is taken from ``seen`` (B, 2, J), one row of ``Swarm.seen``: each
+    row's gain at Bob, then its worst warden gain, written there first.
     """
-    seen = np.empty((len(gains), 2, gains.shape[1])) if seen is None else seen
     seen[:, 0] = gains[..., 0]
     gains[..., 1:].max(axis=-1, out=seen[:, 1])
     return covert_power_rate(seen[:, 0], seen[:, 1], *swarms.fitness_map)[1]
@@ -133,9 +132,9 @@ class Swarm:
     def glo_pos(self) -> np.ndarray:
         return self.bests[:, 1, 0]
 
-    def advance(self, scores: np.ndarray, rngs: list) -> bool:
-        """Take in the scores (B, J) of ``pos`` and move every particle; returns
-        whether any trial's global best moved.
+    def advance(self, scores: np.ndarray, rngs: list) -> list[int]:
+        """Take in the scores (B, J) of ``pos`` and move every particle; returns,
+        per trial, the particle its global best moved to, or -1 where it stayed.
 
         Each trial draws theta1 then theta2 from its own generator, one factor
         per coordinate, in one call (the same stream as two), and the velocity
@@ -146,12 +145,13 @@ class Swarm:
         improved = scores > self.best_score
         np.copyto(self.best_score, scores, where=improved)
         np.copyto(self.bests[:, 0], self.pos, where=improved[..., None])
-        moved = False
-        for b, i in enumerate(self.best_score.argmax(axis=1).tolist()):
+        moved_to = self.best_score.argmax(axis=1).tolist()
+        for b, i in enumerate(moved_to):
             if self.best_score[b, i] > self.glo_score[b]:
-                moved = True
                 self.glo_score[b] = self.best_score[b, i]
                 self.bests[b, 1] = self.bests[b, 0, i]
+            else:
+                moved_to[b] = -1
         theta = np.empty(self.bests.shape)
         for rng, out in zip(rngs, theta):
             rng.random(out=out)
@@ -163,7 +163,7 @@ class Swarm:
         self.vel += pull[:, 1]
         _clip(self.vel.view(float), -_V_MAX, _V_MAX)
         self.pos += self.vel
-        return moved
+        return moved_to
 
 
 @dataclass(eq=False)
@@ -184,9 +184,10 @@ class TwinSwarms:
     pa_offsets: np.ndarray  # (M,) spacing steps
     usable_len: float
     terms: ReceiverTerms  # the kernel's receiver side, built once per run
-    # channels (B, 1 + S, N) of the layouts ps.glo_pos for the beamforming half;
-    # None until the first step and again whenever some trial's ps.glo_pos moves
-    bs_channel: np.ndarray | None = None
+    # channels (B, 1 + S, N) of the layouts ps.glo_pos for the beamforming half,
+    # each trial's row set on the first step (every score beats -inf) and then
+    # whenever its ps.glo_pos moves
+    bs_channel: np.ndarray
     steps: int = 0  # steps taken, the row of Swarm.seen the next step records
 
 
@@ -238,7 +239,8 @@ def init_swarms(scenarios, params, k: int) -> TwinSwarms:
     return TwinSwarms(Swarm.start(ps_pos, ps_glo, p.iterations),
                       Swarm.start(bs_pos, bs_glo, p.iterations), rngs, sc, receivers,
                       fitness_map, wg_y, np.arange(geom.m_pa) * geom.pa_spacing,
-                      geom.usable_length, ReceiverTerms(receivers, wg_y, geom.height))
+                      geom.usable_length, ReceiverTerms(receivers, wg_y, geom.height),
+                      np.empty((len(rngs), len(receivers), geom.n_wg), complex))
 
 
 def step(swarms: TwinSwarms) -> None:
@@ -247,21 +249,21 @@ def step(swarms: TwinSwarms) -> None:
 
     Each trial draws its random factors per dimension from its own generator
     in a fixed order (PS cognitive, PS social, BS cognitive, BS social), so a
-    seeded run is reproducible and does not depend on the other trials. Each
-    half makes one kernel call for all trials; the beamforming half reuses
-    ``swarms.bs_channel`` until some trial's ``ps.glo_pos`` moves.
+    seeded run is reproducible and does not depend on the other trials. Only
+    the position half calls the kernel, once for all trials; a trial whose
+    ``ps.glo_pos`` moved takes its new ``swarms.bs_channel`` row from that call.
     """
     ps, bs, rngs, t = swarms.ps, swarms.bs, swarms.rngs, swarms.steps
 
     # position half: weights fixed to the BS global best
-    gains = np.abs((_channels(ps.pos, swarms) @ bs.glo_pos[:, None, :, None])[..., 0]) ** 2
-    if ps.advance(_fitness(gains, swarms, ps.seen[t]), rngs):
-        swarms.bs_channel = None
+    channels = _channels(ps.pos, swarms)
+    gains = np.abs((channels @ bs.glo_pos[:, None, :, None])[..., 0]) ** 2
+    for b, i in enumerate(ps.advance(_fitness(gains, swarms, ps.seen[t]), rngs)):
+        if i >= 0:
+            swarms.bs_channel[b] = channels[b, i]
     _clip(ps.pos, 0.0, 1.0)
 
     # beamforming half: layout fixed to the PS global best
-    if swarms.bs_channel is None:
-        swarms.bs_channel = _channels(ps.glo_pos[:, None], swarms)[:, 0]
     gains = np.abs(bs.pos @ swarms.bs_channel.transpose(0, 2, 1)) ** 2
     bs.advance(_fitness(gains, swarms, bs.seen[t]), rngs)
     _renormalize_rows(bs.pos, rngs)
@@ -273,88 +275,67 @@ def step(swarms: TwinSwarms) -> None:
 _BATCH = 8
 
 
-def _memo_key(sc: Scenario) -> tuple:
-    """The key of a trial's reference run: Bob and the warden centre."""
-    return "mwmp", sc.r_b.tobytes(), sc.willie.center.tobytes()
-
-
 def _answer_key(sc: Scenario, params: PsoParams, k: int) -> tuple:
-    """Everything the answer to ``sc`` depends on: the run inputs (the trial,
-    the radius, ``k``, geometry, constants and ``params``), then the fitness
-    map, which enters a run only through the decisions it takes."""
-    return _memo_key(sc) + (sc.willie.radius, k, sc.geom, sc.pc, params, _fitness_map(sc))
-
-
-def _replayed(sc: Scenario, key: tuple) -> bool:
-    """Store the answer to ``sc`` under ``key`` from its trial's reference run
-    in ``sc.memo``, if that run had the same run inputs and the replay of its
-    recorded gains under the fitness map of ``sc`` takes every decision it
-    took: a run would retrace the reference's positions (each step's gains
-    follow from the earlier decisions)."""
-    ref = sc.memo.get(_memo_key(sc))
-    if ref is None or ref["inputs"] != key[:-1]:
-        return False
-    decisions, trace = _replay_twins(ref["seen"], key[-1])
-    if not all(map(np.array_equal, ref["decisions"], decisions)):
-        return False
-    sc.memo[key] = _answer(sc, ref, trace)
-    return True
+    """Everything the answer to ``sc`` depends on: the run inputs (Bob, the
+    warden centre and radius, ``k``, geometry, constants and ``params``), then
+    the fitness map, which enters a run only through the decisions it takes."""
+    return ("mwmp", sc.r_b.tobytes(), sc.willie.center.tobytes(), sc.willie.radius, k,
+            sc.geom, sc.pc, params, _fitness_map(sc))
 
 
 def run_many(scenarios, params, k: int = 1) -> None:
     """Leave in ``sc.memo`` the answer to every scenario ``sc`` of
     ``scenarios``, each with its own ``params``, keyed by ``_answer_key``.
 
-    An answer comes from a replay of its trial's reference run (see
-    ``_replayed``) or from a real TwinPSO run. The runs of a round step in
-    lockstep, in even chunks of at most ``_BATCH`` runs that share a geometry,
-    constants and swarm sizes. A scenario waits for a later round only while
-    another one with the same run inputs runs in this round, so it is then
-    answered or replayed from that run. Each run is stored as its trial's
-    reference, keyed by Bob and the warden centre (the last run wins): both
-    swarms' ``seen`` gains, the decisions ``_replay`` derives from them, the
-    returned pair and the receivers. Each run's bits are those of a lone run.
+    The unanswered scenarios wait in queues, one per set of run inputs (the
+    key without the fitness map), in call order. Each round runs the first
+    scenario of every queue, in lockstep, in even chunks of at most ``_BATCH``
+    runs that share a geometry, constants and swarm sizes; ``_run`` answers
+    the scenarios after it by replay while it can. Each run's bits are those
+    of a lone run.
     """
     _check_rings(k)
-    todo = list(zip(scenarios, params, strict=True))
-    while todo:
-        groups, later, running = {}, [], set()
-        for sc, p in todo:
-            key = _answer_key(sc, p, k)
-            if key in sc.memo:
-                continue
-            if key[:-1] in running:
-                later.append((sc, p))
-            elif not _replayed(sc, key):
-                running.add(key[:-1])
-                groups.setdefault((sc.geom, sc.pc, p.n_bs, p.n_ps, p.iterations),
-                                  []).append((sc, p))
-        for runs in groups.values():
-            for sc, _ in runs:  # a run replaces its trial's reference: free the old one
-                sc.memo.pop(_memo_key(sc), None)
-            count = -(-len(runs) // _BATCH)
+    queues = {}
+    for sc, p in zip(scenarios, params, strict=True):
+        key = _answer_key(sc, p, k)
+        if key not in sc.memo:
+            queues.setdefault(key[:-1], deque()).append((sc, p, key))
+    while queues:
+        groups = {}
+        for queue in queues.values():
+            sc, p, _ = queue[0]
+            groups.setdefault((sc.geom, sc.pc, p.n_bs, p.n_ps, p.iterations), []).append(queue)
+        for batch in groups.values():
+            count = -(-len(batch) // _BATCH)
             for c in range(count):
-                _run(runs[c * len(runs) // count:(c + 1) * len(runs) // count], k)
-        todo = later
+                _run(batch[c * len(batch) // count:(c + 1) * len(batch) // count], k)
+        queues = {inputs: queue for inputs, queue in queues.items() if queue}
 
 
-def _run(runs: list, k: int) -> None:
-    """Step the trials ``runs`` of (scenario, params) together; store each
-    trial's reference, which holds only arrays of its own, and its answer."""
-    scenarios, params = zip(*runs)
+def _run(queues: list, k: int) -> None:
+    """Step the first scenario of every queue of (scenario, params, answer
+    key) together. Then answer each queue's scenarios in turn, the one that
+    ran first, by replaying that run's recorded gains under their own fitness
+    maps; the first whose replay takes a decision the run did not take stays
+    at the head of its queue, as a run of it would not retrace this one."""
+    scenarios, params, _ = zip(*(queue[0] for queue in queues))
     swarms = init_swarms(scenarios, params, k)
     for _ in range(params[0].iterations):
         step(swarms)
-    for b, (sc, p) in enumerate(runs):
-        key = _answer_key(sc, p, k)
-        seen = swarms.ps.seen[:, b].copy(), swarms.bs.seen[:, b].copy()
-        decisions, trace = _replay_twins(seen, key[-1])
-        ref = sc.memo[_memo_key(sc)] = {
-            "inputs": key[:-1], "seen": seen, "decisions": decisions,
-            "w_tilde": swarms.bs.glo_pos[b].copy(),
-            "x_init": swarms.ps.glo_pos[b] * swarms.usable_len,
-            "receivers": swarms.receivers[:, b].copy()}
-        sc.memo[key] = _answer(sc, ref, trace)
+    for b, queue in enumerate(queues):
+        seen = swarms.ps.seen[:, b], swarms.bs.seen[:, b]
+        w_tilde = swarms.bs.glo_pos[b].copy()
+        x_init = swarms.ps.glo_pos[b] * swarms.usable_len
+        ran = None  # the decisions of the run, which answers the head first
+        while queue:
+            sc, _, key = queue[0]
+            if key not in sc.memo:  # else the same scenario came earlier in the queue
+                decisions, trace = _replay_twins(seen, key[-1])
+                ran = ran or decisions
+                if not all(map(np.array_equal, ran, decisions)):
+                    break
+                sc.memo[key] = _answer(sc, w_tilde, x_init, swarms.receivers[1:, b], trace)
+            queue.popleft()
 
 
 def solve(sc: Scenario, params: PsoParams, k: int = 1) -> MwmpSolution:
@@ -376,11 +357,12 @@ def _replay_twins(seen: tuple, fitness_map: tuple) -> tuple[tuple, np.ndarray]:
     return (improved_ps, to_ps, improved_bs, to_bs), np.maximum(glo_ps, glo_bs)
 
 
-def _answer(sc: Scenario, ref: dict, trace: np.ndarray) -> MwmpSolution:
-    """The covert power and rate of a reference run's pair on ``sc``."""
-    w_tilde, x_init = ref["w_tilde"], ref["x_init"]
+def _answer(sc: Scenario, w_tilde: np.ndarray, x_init: np.ndarray, samples: np.ndarray,
+            trace: np.ndarray) -> MwmpSolution:
+    """The covert power and rate on ``sc`` of a run's pair, its worst warden
+    gain taken over that run's warden ``samples``."""
     layout = PinchLayout(sc.geom, x_init)
-    g_max = worst_case_gain(layout, w_tilde, ref["receivers"][1:], sc.pc)
+    g_max = worst_case_gain(layout, w_tilde, samples, sc.pc)
     g_bob = float(beam_gain(layout, w_tilde, sc.r_b[None, :], sc.pc)[0])
     power, rate = covert_power_rate(g_bob, g_max, *_fitness_map(sc))
     return MwmpSolution(w_tilde, x_init, float(power), float(rate), trace)

@@ -578,7 +578,7 @@ def _solve_recorder(monkeypatch, mwmp):
 @pytest.mark.parametrize("shape", MWMP_SHAPES)
 @pytest.mark.parametrize("sweep", MWMP_SWEEPS)
 def test_mwmp_replayed_records_equal_fresh_runs(monkeypatch, shape, sweep):
-    # a record served by replaying a trial's reference run is the record a
+    # a record served by replaying another record's run is the record a
     # real run on an empty memo gives, bit for bit, and owns its arrays
     from passcovert import mwmp
     from passcovert.harness import solve_scheme
@@ -595,11 +595,30 @@ def test_mwmp_replayed_records_equal_fresh_runs(monkeypatch, shape, sweep):
         for name in ("trace", "x_init", "w_tilde"):
             assert getattr(sol, name).tobytes() == getattr(alone, name).tobytes(), name
         kept = list(_memo_arrays(sc.memo))
-        # one reference per trial and one answer per record
-        assert len(sc.memo) == cfg.trials + len(records) and kept
+        # one answer per record
+        assert len(sc.memo) == len(records) and kept
         assert not any(np.shares_memory(getattr(sol, name), a)
                        for name in ("trace", "x_init", "w_tilde") for a in kept)
     assert len(runs) == MWMP_REAL_RUNS[shape, sweep]
+
+
+@pytest.mark.parametrize("sweep", MWMP_SWEEPS)
+def test_mwmp_memo_keeps_answers_only(monkeypatch, sweep):
+    # after a sweep, the memo holds one MwmpSolution per record and no run's
+    # recorded gains: no array in it is larger than its answer's trace or a
+    # view of another array
+    from passcovert import mwmp
+
+    variable, values = MWMP_SWEEPS[sweep]
+    solved, _ = _solve_recorder(monkeypatch, mwmp)
+    records = run_sweep(_small_config(trials=3), variable, values, ("mwmp",))
+    memos = {id(sc.memo): sc.memo for sc, _ in solved}
+    assert sum(map(len, memos.values())) == len(records)
+    for memo in memos.values():
+        for key, answer in memo.items():
+            assert key[0] == "mwmp" and isinstance(answer, mwmp.MwmpSolution)
+            for a in _memo_arrays({key: answer}):
+                assert a.size <= answer.trace.size and a.base is None
 
 
 def test_mwmp_sweep_steps_each_values_trials_together(monkeypatch):

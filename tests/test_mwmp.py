@@ -32,7 +32,7 @@ def _fitness(pos, w, sc):
     """Swarm fitness of one (normalized position, unit weight) pair at k = 1."""
     swarms = init_swarms([sc], [PsoParams()], 1)
     gains = np.abs(mwmp._channels(pos[None, None], swarms) @ w) ** 2
-    return float(mwmp._fitness(gains, swarms)[0, 0])
+    return float(mwmp._fitness(gains, swarms, np.empty((1, 2, 1)))[0, 0])
 
 
 def test_clamp_ps():
@@ -213,9 +213,25 @@ def test_solve_recomputes_channel_only_when_layout_best_moves(monkeypatch):
     monkeypatch.setattr(mwmp, "_effective_batch", counting)
     params = PsoParams(iterations=40, seed=4)
     solve(_scenario(n=4, m=3), params)
-    # one position-half call per step, plus one beamforming-half call on the
-    # first step and after each step that moved the position global best
-    assert params.iterations + 1 <= len(calls) <= 2 * params.iterations - 1
+    # one position-half call per step; the beamforming half takes the channel
+    # of a moved position global best from that call's batch
+    assert len(calls) == params.iterations
+
+
+def test_first_step_moves_every_trials_position_best(monkeypatch):
+    # bs_channel starts unset, so every trial's position global best must move
+    # on the first step: every score beats -inf, the zeros of a trial with no
+    # warden gain budget included
+    scenarios = [_scenario(n=3, m=2), _scenario(n=3, m=2, rho=0.0)]
+    swarms = init_swarms(scenarios, [PsoParams(seed=1), PsoParams(seed=2)], 1)
+    moved = []
+    advance = mwmp.Swarm.advance
+    monkeypatch.setattr(mwmp.Swarm, "advance",
+                        lambda swarm, *a: moved.append(advance(swarm, *a)) or moved[-1])
+    step(swarms)
+    ps_moved = moved[0]
+    assert len(ps_moved) == 2 and min(ps_moved) >= 0
+    assert swarms.ps.glo_score[1] == 0.0
 
 
 @pytest.mark.parametrize("field, value", [("iterations", float("nan")), ("iterations", 2.0),
@@ -260,53 +276,84 @@ _RUN_KEYS = {"bob_x_m": 14.0, "willie_y_m": -7.5, "delta_r_m": 1.5, "height_m": 
 
 
 def test_memo_replays_only_for_the_same_swarm_inputs(monkeypatch):
-    # a lookup counts only for the same Bob, warden centre, radius, k, geometry,
-    # constants and PSO parameters; any other change only attempts a replay,
-    # and the fitness map the reference last served needs none
+    # in one run_many call on a scenario and a moved copy that shares its memo,
+    # the copy is answered by replaying the scenario's run only when it moves
+    # the fitness map alone: Bob, the warden centre or radius, the geometry,
+    # the constants and the PSO parameters each start a run of their own, and
+    # the same scenario passed again is answered once
     base = {"num_waveguides": 2, "pas_per_waveguide": 1, "pa_spacing_m": 0.0054,
             "bob_x_m": 15.0, "bob_y_m": 4.0, "willie_x_m": 5.0, "willie_y_m": -8.0}
     params = PsoParams(n_bs=6, n_ps=5, iterations=12, seed=3)
-    events = []
+    runs, replays = [], []
     replay, start = mwmp._replay, mwmp.init_swarms
-    monkeypatch.setattr(mwmp, "_replay", lambda *a: events.append("replay") or replay(*a))
-    monkeypatch.setattr(mwmp, "init_swarms", lambda *a: events.append("run") or start(*a))
+    monkeypatch.setattr(mwmp, "_replay", lambda *a: replays.append(1) or replay(*a))
+    monkeypatch.setattr(mwmp, "init_swarms", lambda *a: runs.extend(a[0]) or start(*a))
 
-    def after_reference(sc, moved_sc, moved_params=params, k=1):
-        """Events of a solve of ``moved_sc`` on the memo of a solve of ``sc``."""
-        solve(sc, params)
+    def taken(sc, moved_sc, moved_params=params):
+        """The scenarios that ran, and the twin replays, of one run_many call."""
         moved = dataclasses.replace(moved_sc, memo=sc.memo)
-        events.clear()
-        sol = solve(moved, moved_params, k)
-        taken = events[:2]
-        alone = solve(dataclasses.replace(moved_sc, memo={}), moved_params, k)
+        runs.clear()
+        replays.clear()
+        mwmp.run_many([sc, moved], [params, moved_params], 1)
+        events = (["sc" if s is sc else "moved" for s in runs], len(replays) // 2)
+        sol = solve(moved, moved_params)
+        alone = solve(dataclasses.replace(moved_sc, memo={}), moved_params)
         assert (sol.rate, sol.power, sol.trace.tobytes()) == (
             alone.rate, alone.power, alone.trace.tobytes())
-        return taken
+        return events
 
     def scenario(**over):
         return config_from_dict({**base, **over}).scenario("mwmp")
 
     for key, value in _FITNESS_MAP_KEYS.items():
-        assert after_reference(scenario(), scenario(**{key: value})) == ["replay"] * 2, key
+        assert taken(scenario(), scenario(**{key: value})) == (["sc"], 2), key
     for key, value in _RUN_KEYS.items():
-        assert after_reference(scenario(), scenario(**{key: value})) == ["run", "replay"], key
+        assert taken(scenario(), scenario(**{key: value})) == (["sc", "moved"], 2), key
     sc = scenario()
     for name in ("wavelength", "k_c", "k_g", "eta"):
         moved = dataclasses.replace(sc, pc=dataclasses.replace(
             sc.pc, **{name: getattr(sc.pc, name) * 1.01}))
-        assert after_reference(scenario(), moved) == ["run", "replay"], name
+        assert taken(scenario(), moved) == (["sc", "moved"], 2), name
     for name in ("n_bs", "n_ps", "iterations", "seed"):
         moved_params = dataclasses.replace(params, **{name: getattr(params, name) + 1})
-        assert after_reference(scenario(), scenario(), moved_params) == ["run", "replay"], name
-    assert after_reference(scenario(), scenario(), k=2) == ["run", "replay"]
-    assert after_reference(scenario(), scenario()) == []
+        assert taken(scenario(), scenario(), moved_params) == (["sc", "moved"], 2), name
+    assert taken(scenario(), scenario()) == (["sc"], 1)
+    # k is one per call: a call at k = 2 runs on the memo a call at k = 1 filled
+    sc = scenario()
+    solve(sc, params)
+    runs.clear()
+    solve(sc, params, 2)
+    assert runs == [sc]
     # the key is read at lookup time: Bob moved in place is a new trial
     sc = scenario()
     solve(sc, params)
     sc.r_b[0] = 14.0
-    events.clear()
+    runs.clear()
     solve(sc, params)
-    assert events[:2] == ["run", "replay"]
+    assert runs == [sc]
+
+
+def test_solve_runs_again_for_a_fitness_map_a_filled_memo_lacks(monkeypatch):
+    # the memo keeps answers, not runs: a solve that moves only the fitness map
+    # on a memo an earlier solve filled runs TwinPSO, with the bits of a solve
+    # on an empty memo
+    params = PsoParams(n_bs=6, n_ps=5, iterations=12, seed=3)
+    sc = _scenario()
+    solve(sc, params)
+    runs = []
+    start = mwmp.init_swarms
+    monkeypatch.setattr(mwmp, "init_swarms", lambda *a: runs.extend(a[0]) or start(*a))
+    for moved in (dataclasses.replace(sc, sigma_b_sq=2.0 * sc.sigma_b_sq),
+                  dataclasses.replace(sc, p_max=0.5 * sc.p_max)):
+        runs.clear()
+        sol = solve(moved, params)
+        assert runs == [moved]
+        alone = solve(dataclasses.replace(moved, memo={}), params)
+        assert (sol.rate, sol.power) == (alone.rate, alone.power)
+        for name in ("trace", "x_init", "w_tilde"):
+            assert getattr(sol, name).tobytes() == getattr(alone, name).tobytes(), name
+    assert len(sc.memo) == 3
+    assert all(isinstance(v, mwmp.MwmpSolution) for v in sc.memo.values())
 
 
 def test_stored_answer_serves_only_its_own_inputs():
@@ -361,7 +408,7 @@ def test_run_many_splits_runs_into_even_chunks(monkeypatch, n):
 
 @pytest.mark.parametrize("k", [True, 2.0], ids=["bool", "float"])
 def test_warm_memo_still_rejects_non_integer_ring_counts(k):
-    # True == 1 and 2.0 == 2, so a reference run at k = 1 or 2 would match
+    # True == 1 and 2.0 == 2, so the answer stored at k = 1 or 2 would match
     # them if k were checked only on a real run
     sc = _scenario()
     params = PsoParams(n_bs=4, n_ps=4, iterations=3, seed=1)
@@ -372,10 +419,11 @@ def test_warm_memo_still_rejects_non_integer_ring_counts(k):
 
 
 def test_run_many_equals_lone_runs_bit_for_bit(monkeypatch):
-    # more runs than one chunk, scenarios that a reference serves by replay
+    # more runs than one chunk, scenarios that another's run serves by replay
     # (Bob's noise only rescales every score, so no decision moves), one
-    # scenario passed twice and one of another geometry: every answer, and
-    # every stored run, is that of a lone run on an empty memo
+    # scenario passed twice and one of another geometry, in one call: every
+    # answer is that of a lone run on an empty memo, and the memo holds
+    # answers only
     n = mwmp._BATCH + 3
     memo = {}
     base = [dataclasses.replace(_scenario(n=3, m=2, bob=(1.0 + i, 3.0 - 0.4 * i)), memo=memo)
@@ -383,8 +431,6 @@ def test_run_many_equals_lone_runs_bit_for_bit(monkeypatch):
     other = dataclasses.replace(_scenario(n=2, m=1, bob=(2.5, 6.0)), memo=memo)
     params = {id(sc): PsoParams(n_bs=5, n_ps=4, iterations=6, seed=i)
               for i, sc in enumerate(base + [other])}
-    for sc in base[:2]:  # these trials already hold a reference
-        solve(sc, params[id(sc)])
     noisier = [dataclasses.replace(base[i], sigma_b_sq=2.0 * base[i].sigma_b_sq) for i in (0, 2)]
     for sc, trial in zip(noisier, (0, 2)):
         params[id(sc)] = params[id(base[trial])]
@@ -393,21 +439,18 @@ def test_run_many_equals_lone_runs_bit_for_bit(monkeypatch):
     start = mwmp.init_swarms
     monkeypatch.setattr(mwmp, "init_swarms", lambda *a: sizes.append(len(a[0])) or start(*a))
     mwmp.run_many(batch, [params[id(sc)] for sc in batch], 1)
-    # trials 2 .. n-1 run in two even chunks, the other geometry on its own
-    assert sorted(sizes) == [1, (n - 2) // 2, (n - 1) // 2]
+    # the n trials run in two even chunks, the other geometry on its own
+    assert sorted(sizes) == [1, n // 2, (n + 1) // 2]
+    assert len(memo) == n + len(noisier) + 1
+    assert all(isinstance(v, mwmp.MwmpSolution) for v in memo.values())
     sizes.clear()
     for sc in batch:
         p = params[id(sc)]
         sol = solve(sc, p)
-        lone = {}
-        alone = solve(dataclasses.replace(sc, memo=lone), p)
+        alone = solve(dataclasses.replace(sc, memo={}), p)
         assert (sol.rate, sol.power) == (alone.rate, alone.power)
         for name in ("trace", "x_init", "w_tilde"):
             assert getattr(sol, name).tobytes() == getattr(alone, name).tobytes(), name
-        key = mwmp._memo_key(sc)
-        for got, want in zip(memo[key]["seen"], lone[key]["seen"]):
-            assert got.tobytes() == want.tobytes()
-        assert all(a.base is None for a in memo[key]["seen"])
     assert sizes == [1] * len(batch)  # the lone runs only: every answer came from the memo
 
 

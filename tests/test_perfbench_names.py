@@ -131,4 +131,4 @@ def test_exp_count_of_a_stacked_kernel_call(monkeypatch):
         assert receivers.shape == (k, b, 3) and b == len(scenarios)
         assert layers._batch_exps(args, {}) == (k * b * j * geom.n_wg * geom.m_pa, 0)
         layouts.append(j)
-    assert layouts.count(config.pso_pop_ps) == config.pso_iterations and set(layouts) == {7, 1}
+    assert layouts.count(config.pso_pop_ps) == config.pso_iterations and set(layouts) == {7}
